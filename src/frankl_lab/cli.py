@@ -9,10 +9,6 @@ contradiction, i.e. a bug).
 Identical invocations print byte-identical JSON when --stable is given:
 the flag drops the wall-clock sidecar fields ("seconds"), which are the
 only nondeterministic part of any payload.
-
-FRANKL_LAB_THREADS (a positive integer) caps search parallelism; the
-search engines are currently single-threaded, so any cap is honored
-trivially, but the variable is validated and reserved.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -63,19 +58,6 @@ def _emit_json(payload: dict, args) -> None:
 
 def _budget_from(args) -> SearchBudget:
     return SearchBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("FRANKL_LAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-        if value <= 0:
-            raise ValueError
-    except ValueError:
-        raise SystemExit(EXIT_USAGE) from None
-    return value
 
 
 def _cmd_f(args) -> int:
@@ -362,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _threads_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

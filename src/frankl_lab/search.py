@@ -10,28 +10,35 @@ Three engines, chosen per instance:
                is cached and answers every (a) and (m) query, with
                lexicographically smallest witnesses among the optima.
   complement   for g when few sets are missing (2^n - m <= n): choose the
-               missing masks instead of the present ones.  A choice is
-               admissible iff no missing mask is a union of two present
-               ones, and the objective is 2^(n-1) minus the least-covered
+               missing masks instead of the present ones, depth-first in
+               ascending (popcount, value) order.  A choice is admissible
+               iff no missing mask is a union of two present ones; a
+               missing U with two present (|U|-1)-subsets is cut as soon
+               as it is chosen, and every complete choice is checked in
+               full.  The objective is 2^(n-1) minus the least-covered
                element's cover count.
   branch&bound depth-first over masks ordered by descending popcount, so
                any union of included sets lies strictly earlier in the
                order and closure can be enforced incrementally.  Prunes on
                frequency caps, on incumbent size plus remaining capacity,
-               and (for n >= 7) on the certified upper bound fbar(n,a).
+               (for n >= 7) on the certified upper bound fbar(n,a), and on
+               isomorphs: at the first mask of each popcount level, a
+               partial family isomorphic under S_n to one already explored
+               there is cut (see _IsomorphRejector).
 
-Witness policy: exhaustive scans return the lexicographically smallest
-optimal family; branch and bound returns the first optimum met in its
-fixed order (its size-based prune discards later ties by design).  Both
-are deterministic run to run.
+Witness policy: exhaustive scans and the complement search return the
+lexicographically smallest optimal family; branch and bound returns the
+first optimum met in its fixed order (its size-based prune discards
+later ties by design, and an isomorph it cuts cannot hold a strictly
+better family).  All are deterministic run to run.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -240,12 +247,138 @@ def _exhaustive_f(n: int, a: int) -> tuple[int, tuple[int, ...]]:
 # branch and bound for f, n >= 5
 
 _BB_MAX_N = 11  # recursion depth is 2^n + O(1)
+# Relabellings a canonical form may try.  7! admits every boundary at
+# n <= 7; a boundary over the cap is not canonicalised, which is sound.
+_RELABEL_CAP = 5040
 
 
 def _branch_order(n: int) -> list[int]:
     """Masks by descending popcount, then ascending value; the empty set
     lands last, and S|T of two incomparable masks precedes both."""
     return sorted(range(1 << n), key=lambda m: (-popcount(m), m))
+
+
+@contextmanager
+def _recursion_depth(depth: int) -> Iterator[None]:
+    """Raise the interpreter's recursion limit to fit `depth` nested
+    calls for the duration of a search, then restore it."""
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(previous, depth + 1000))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(previous)
+
+
+class _IsomorphRejector:
+    """Isomorph rejection at the popcount-level boundaries of the branch order.
+
+    At the first mask of popcount k (n-1 >= k >= 2) every mask of larger
+    popcount is decided and the undecided masks, those of popcount <= k,
+    form a union of S_n-orbits.  From there on feasibility, the slot
+    counts, the running maximum and both bounds are S_n-equivariant, and
+    the incumbent only improves, so a partial family isomorphic to one
+    already explored at the same boundary cannot beat the incumbent; the
+    caller prunes it (the node still counts against the budget).
+
+    Isomorphism is decided by a canonical form: the least sorted image of
+    the family over the leaves of an individualise-and-refine search
+    (McKay, "Isomorph-free exhaustive generation", 1998).  Colour
+    refinement splits the elements by degree and by the sizes of the
+    members containing them, repeated until stable; then the elements of
+    the first class left with several members are individualised in
+    turn, one per twin class, and refined again, down to a labelling.
+    The leaves are relabellings that respect the first refined classes,
+    so when those admit more than _RELABEL_CAP relabellings the boundary
+    is not canonicalised at all.
+    """
+
+    __slots__ = ("n", "elems", "boundary", "seen")
+
+    def __init__(self, n: int, order: list[int]):
+        self.n = n
+        self.elems = [tuple(e for e in range(n) if mask >> e & 1) for mask in range(1 << n)]
+        self.boundary = [False] * len(order)
+        for i, mask in enumerate(order):
+            k = popcount(mask)
+            if 2 <= k < n and popcount(order[i - 1]) != k:
+                self.boundary[i] = True
+        self.seen: set[tuple[int, tuple[int, ...]]] = set()
+
+    def repeated(self, i: int, included: list[int]) -> bool:
+        """At boundary i: has an isomorph of `included` been seen here?"""
+        form = self._canonical_form(included)
+        if form is None:
+            return False
+        key = (i, form)
+        if key in self.seen:
+            return True
+        self.seen.add(key)
+        return False
+
+    def _canonical_form(self, masks: list[int]) -> Optional[tuple[int, ...]]:
+        """Least sorted image of the family over the leaves of an
+        individualise-and-refine search, or None when the refined element
+        classes admit more than _RELABEL_CAP relabellings."""
+        n, elems = self.n, self.elems
+        colour = self._refine(masks, [0] * n)
+        sizes = [colour.count(c) for c in range(max(colour) + 1)]
+        if math.prod(math.factorial(s) for s in sizes) > _RELABEL_CAP:
+            return None
+        twin = self._twins(masks, colour)
+        best: Optional[list[int]] = None
+        stack = [colour]
+        while stack:
+            colour = stack.pop()
+            cell = next((c for c in sorted(colour) if colour.count(c) > 1), None)
+            if cell is None:  # discrete: colour[e] is the new label of e
+                image = sorted([sum([1 << colour[e] for e in elems[mask]]) for mask in masks])
+                if best is None or image < best:
+                    best = image
+                continue
+            # individualise each element of the first non-singleton cell,
+            # one per twin class: swapping twins maps one subtree onto the other
+            tried = set()
+            for e in range(n):
+                if colour[e] == cell and twin[e] not in tried:
+                    tried.add(twin[e])
+                    split = [2 * c + (c == cell and x != e) for x, c in enumerate(colour)]
+                    stack.append(self._refine(masks, split))
+        return tuple(best)
+
+    def _refine(self, masks: list[int], colour: list[int]) -> list[int]:
+        """Colour refinement: split the element classes by the multiset of
+        colour profiles of the members containing each element, until no
+        class splits.  Colours come back as ranks 0.. of their signatures,
+        so relabelling the input relabels the output the same way."""
+        elems = self.elems
+        count = len(set(colour))
+        while True:
+            profiles: list[list[tuple[int, ...]]] = [[] for _ in colour]
+            for mask in masks:
+                profile = tuple(sorted([colour[e] for e in elems[mask]]))
+                for e in elems[mask]:
+                    profiles[e].append(profile)
+            signature = [(c, tuple(sorted(p))) for c, p in zip(colour, profiles)]
+            rank = {s: r for r, s in enumerate(sorted(set(signature)))}
+            colour = [rank[s] for s in signature]
+            if len(rank) == count or len(rank) == self.n:
+                return colour
+            count = len(rank)
+
+    def _twins(self, masks: list[int], colour: list[int]) -> list[int]:
+        """twin[e]: the least element whose transposition with e maps the
+        family onto itself (e itself if there is none)."""
+        family = set(masks)
+        twin = list(range(self.n))
+        for x in range(self.n):
+            for y in range(x + 1, self.n):
+                if twin[y] != y or colour[x] != colour[y]:
+                    continue
+                swap = (1 << x) | (1 << y)
+                if all((mask & swap) in (0, swap) or mask ^ swap in family for mask in masks):
+                    twin[y] = twin[x]
+        return twin
 
 
 def _seed_incumbent_f(n: int, a: int) -> tuple[int, tuple[int, ...]]:
@@ -259,9 +392,10 @@ def _bb_f(n: int, a: int, budget: SearchBudget) -> FResult:
         raise ValueError(f"branch-and-bound search capped at n = {_BB_MAX_N}, got {n}")
     order = _branch_order(n)
     length = len(order)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), length + 1000))
     pcs = [popcount(m) for m in order]
     tick = _Ticker(budget)
+    iso = _IsomorphRejector(n, order)
+    boundary = iso.boundary
 
     best_size, best_masks = _seed_incumbent_f(n, a)
     cert_cap = math.floor(_certificate.bar_f(n, a)) if n >= 7 and a >= 1 else None
@@ -287,6 +421,8 @@ def _bb_f(n: int, a: int, budget: SearchBudget) -> FResult:
         # the empty set sits at the end of the order and costs no slots
         bound = size + 1 + min(rem - 1, slots_left)
         if bound <= best_size:
+            return
+        if boundary[i] and iso.repeated(i, included):
             return
         mask = order[i]
         k = pcs[i]
@@ -323,7 +459,9 @@ def _bb_f(n: int, a: int, budget: SearchBudget) -> FResult:
                 m ^= low
         rec(i + 1, size, slots_left)
 
-    rec(0, 0, n * a)
+    with _recursion_depth(length):
+        rec(0, 0, n * a)
+    del rec  # the closure refers to itself: free it and its search state now, not at a GC pass
     proven = not tick.exhausted
     witness = SetFamily(n, best_masks)
     return FResult(n, a, best_size, witness, proven, tick.nodes, tick.seconds)
@@ -404,31 +542,59 @@ def _complement_is_union_closed(n: int, missing_set: frozenset[int]) -> bool:
 
 
 def _g_by_complement(n: int, m: int, budget: SearchBudget) -> GResult:
-    """Enumerate the k = 2^n - m missing masks directly (k <= n)."""
+    """Choose the k = 2^n - m missing masks directly (k <= n).
+
+    Depth-first over the masks in ascending (popcount, value) order.  A
+    missing U with |U| >= 2 is pruned as soon as two of its
+    (|U|-1)-subsets are present, since their union is U; all of those
+    subsets come before U in the order, so the prune is exact.  Each
+    complete choice is a candidate, checked for closure in full.
+    """
     full = 1 << n
     k = full - m
     half = 1 << (n - 1)
+    order = sorted(range(full), key=lambda x: (popcount(x), x))
+    sizes = [popcount(u) for u in order]
+    below = [[u ^ (1 << e) for e in range(n) if u >> e & 1] for u in order]  # (|U|-1)-subsets
     tick = _Ticker(budget)
     best_value: Optional[int] = None
-    best_masks: Optional[tuple[int, ...]] = None
-    all_masks = range(full)
-    for missing in itertools.combinations(all_masks, k):
-        if not tick.tick():
-            break
-        mset = frozenset(missing)
-        if not _complement_is_union_closed(n, mset):
-            continue
-        value = half - min(_cover_counts(n, missing))
-        if best_value is None or value < best_value:
-            best_value = value
-            best_masks = tuple(x for x in all_masks if x not in mset)
-        elif value == best_value:
-            masks = tuple(x for x in all_masks if x not in mset)
-            if best_masks is None or masks < best_masks:
-                best_masks = masks
-    if best_value is None or best_masks is None:
+    best_missing: tuple[int, ...] = ()
+    missing: list[int] = []
+    mset: set[int] = set()
+
+    def rec(start: int) -> None:
+        nonlocal best_value, best_missing
+        if len(missing) == k:
+            if not tick.tick() or not _complement_is_union_closed(n, frozenset(mset)):
+                return
+            value = half - min(_cover_counts(n, tuple(missing)))
+            # among equal values the lexicographically smallest family is
+            # the one whose sorted missing tuple is largest
+            key = tuple(sorted(missing))
+            if (best_value is None or value < best_value
+                    or (value == best_value and key > best_missing)):
+                best_value, best_missing = value, key
+            return
+        for j in range(start, full - (k - len(missing)) + 1):
+            size = sizes[j]
+            # keeping U's (|U|-1)-subsets to at most one present takes
+            # |U| - 1 of them missing; sizes only grow from here
+            if size - 1 > len(missing) or tick.exhausted:
+                return
+            if size >= 2 and size - len(mset.intersection(below[j])) >= 2:
+                continue
+            u = order[j]
+            missing.append(u)
+            mset.add(u)
+            rec(j + 1)
+            mset.discard(u)
+            missing.pop()
+
+    rec(0)
+    del rec  # as in _bb_f: break the closure's reference to itself
+    if best_value is None:
         raise AssertionError(f"no union-closed family of size {m} on [{n}]")
-    witness = SetFamily(n, best_masks)
+    witness = SetFamily(n, tuple(x for x in range(full) if x not in best_missing))
     return GResult(n, m, best_value, witness, not tick.exhausted, tick.nodes, tick.seconds)
 
 
@@ -446,9 +612,10 @@ def _bb_g(n: int, m: int, budget: SearchBudget) -> GResult:
         raise ValueError(f"branch-and-bound search capped at n = {_BB_MAX_N}, got {n}")
     order = _branch_order(n)
     length = len(order)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), length + 1000))
     pcs = [popcount(m_) for m_ in order]
     tick = _Ticker(budget)
+    iso = _IsomorphRejector(n, order)
+    boundary = iso.boundary
 
     seed_masks = _top_slice_family(n, m)
     best_masks = seed_masks
@@ -474,6 +641,8 @@ def _bb_g(n: int, m: int, budget: SearchBudget) -> GResult:
         nonempty_needed = max(0, need - empty_avail)
         lb = max(cur_max, -(-(used_slots + nonempty_needed) // n))
         if lb >= best_value:
+            return
+        if boundary[i] and iso.repeated(i, included):
             return
         mask = order[i]
         k = pcs[i]
@@ -506,7 +675,9 @@ def _bb_g(n: int, m: int, budget: SearchBudget) -> GResult:
                 m_ ^= low
         rec(i + 1, size, used_slots, cur_max)
 
-    rec(0, 0, 0, 0)
+    with _recursion_depth(length):
+        rec(0, 0, 0, 0)
+    del rec  # as in _bb_f: break the closure's reference to itself
     witness = SetFamily(n, best_masks)
     return GResult(n, m, best_value, witness, not tick.exhausted, tick.nodes, tick.seconds)
 

@@ -2,8 +2,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from frankl_lab import family_from_json, is_union_closed, max_frequency
 from frankl_lab.cli import main
 
@@ -161,15 +159,6 @@ def test_check_command_exit_codes(capsys, monkeypatch):
     assert main(["check"]) == 3
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" in out
-
-
-def test_threads_env_var_validation(capsys, monkeypatch):
-    monkeypatch.setenv("FRANKL_LAB_THREADS", "4")
-    assert main(["bound", "--a", "7"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("FRANKL_LAB_THREADS", "zero")
-    with pytest.raises(SystemExit):
-        main(["bound", "--a", "7"])
 
 
 def test_console_entry_point():

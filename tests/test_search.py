@@ -1,5 +1,8 @@
 import math
+import random
+import sys
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -18,6 +21,12 @@ F_TABLE_N4 = {0: 1, 1: 2, 2: 4, 3: 5, 4: 8, 5: 9, 6: 10, 7: 12, 8: 16}
 G_TABLE_N3 = {1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 6: 4, 7: 4, 8: 4}
 G_TABLE_N4 = {1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 6: 4, 7: 4, 8: 4,
               9: 5, 10: 6, 11: 7, 12: 7, 13: 8, 14: 8, 15: 8, 16: 8}
+# Frozen from the branch-and-bound engine before isomorph rejection, which
+# explored every relabelling of every partial family.
+F_TABLE_N5 = dict(enumerate([1, 2, 4, 5, 8, 9, 10, 12, 16, 17, 18, 19, 21, 23, 25, 27, 32]))
+G_TABLE_N5 = dict(enumerate([0, 1, 2, 2, 3, 4, 4, 4, 5, 6, 7, 7, 8, 8, 8, 8,
+                             9, 10, 11, 12, 12, 13, 13, 14, 14, 15, 15, 16, 16, 16, 16, 16],
+                            start=1))
 
 
 # --- enumeration -------------------------------------------------------------
@@ -111,11 +120,35 @@ def test_f55_is_9():
     assert result.proven_optimal
 
 
-@pytest.mark.stretch
+def test_f65_is_9():
+    result = compute_f(6, 5)
+    assert result.value == 9
+    assert result.proven_optimal
+
+
 def test_f66_is_10():
     result = compute_f(6, 6)
     assert result.value == 10
     assert result.proven_optimal
+    # without isomorph rejection the search visits 6,025,732 nodes
+    assert result.nodes * 10 < 6_025_732
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("a,expected", [(4, 8), (5, 9), (6, 10), (7, 12)])
+def test_f_at_n7(a, expected):
+    result = compute_f(7, a)
+    assert result.value == expected
+    assert result.proven_optimal
+
+
+def test_f_n5_table_against_frozen_values():
+    for a, v in F_TABLE_N5.items():
+        result = compute_f(5, a)
+        assert (result.value, result.proven_optimal) == (v, True), a
+        assert len(result.witness) == v
+        assert is_union_closed(result.witness)
+        assert max_frequency(result.witness).count <= a
 
 
 def test_f_respects_certificate_cap():
@@ -216,6 +249,83 @@ def test_g_on_n5_plateau():
         result = compute_g(5, 32 - i)
         assert result.value == 16, (i, result.value)
         assert result.proven_optimal
+
+
+def test_g_n5_table_against_frozen_values():
+    for m, v in G_TABLE_N5.items():
+        result = compute_g(5, m)
+        assert (result.value, result.proven_optimal) == (v, True), m
+        assert len(result.witness) == m
+        assert is_union_closed(result.witness)
+        assert max_frequency(result.witness).count == v
+
+
+@pytest.mark.parametrize("n,m,masks", [
+    (4, 13, (0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 13, 14, 15)),
+    (5, 28, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17, 18, 19,
+             21, 22, 23, 25, 26, 27, 29, 30, 31)),
+])
+def test_g_complement_witness_is_lexicographically_smallest(n, m, masks):
+    assert compute_g(n, m).witness.masks == masks
+
+
+def test_g_complement_search_reaches_n7():
+    result = compute_g(7, 122)
+    assert result.value == 64
+    assert result.proven_optimal
+
+
+def test_searches_restore_the_recursion_limit():
+    limit = sys.getrecursionlimit()
+    compute_f(5, 5)
+    assert sys.getrecursionlimit() == limit
+    compute_g(5, 20)
+    assert sys.getrecursionlimit() == limit
+
+
+def _relabel(n, masks, perm):
+    return [sum(1 << perm[e] for e in range(n) if mask >> e & 1) for mask in masks]
+
+
+def _brute_canonical_form(n, masks):
+    return min(sorted(_relabel(n, masks, p)) for p in permutations(range(n)))
+
+
+def _cycle_edges(*cycles):
+    return [(1 << c[i]) | (1 << c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))]
+
+
+def _random_families_n5(rng):
+    families = [rng.sample(range(32), rng.randrange(0, 9)) for _ in range(60)]
+    families += [list(random_union_closed(5, seed, Fraction(1, 6)).masks) for seed in range(20)]
+    return families + [[m for m in range(32) if bin(m).count("1") in sizes]
+                       for sizes in ((1,), (2,), (2, 3), (4, 5))]
+
+
+def _regular_families_n7(rng):
+    # every element has the same degree, so colour refinement cannot split
+    # them, yet C3+C4 has two orbits: the form must individualise correctly
+    c34, c7 = _cycle_edges((0, 1, 2), (3, 4, 5, 6)), _cycle_edges(tuple(range(7)))
+    fano = [0b0001011, 0b0010110, 0b0101100, 0b1011000, 0b0110001, 0b1100010, 0b1000101]
+    complements = [[127 ^ m for m in fam] for fam in (c34, c7)]
+    families = [c34, c7, fano, c34 + [127], c7 + [127]] + complements
+    return families + [_relabel(7, fam, rng.sample(range(7), 7)) for fam in families]
+
+
+@pytest.mark.parametrize("n,make", [(5, _random_families_n5), (7, _regular_families_n7)])
+def test_isomorph_canonical_form_is_a_complete_invariant(n, make):
+    from frankl_lab.search import _IsomorphRejector, _branch_order
+    rejector = _IsomorphRejector(n, _branch_order(n))
+    rng = random.Random(n)
+    forms = {}
+    for masks in make(rng):
+        form = rejector._canonical_form(masks)
+        relabelled = _relabel(n, masks, rng.sample(range(n), n))
+        assert rejector._canonical_form(relabelled) == form
+        forms.setdefault(tuple(_brute_canonical_form(n, masks)), set()).add(form)
+    # one form per isomorphism class, and distinct classes get distinct forms
+    assert all(len(f) == 1 for f in forms.values())
+    assert len({f for fs in forms.values() for f in fs}) == len(forms)
 
 
 def test_g_argument_validation():
