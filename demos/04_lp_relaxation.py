@@ -1,7 +1,7 @@
 """The exact LP relaxation f_r(n,a) and its dual certificates.
 
 Relaxing the 0/1 program to 0 <= x_S <= 1 gives an upper bound f_r(n,a)
-for f(n,a) that a rational simplex can pin down exactly.  Duality runs
+for f(n,a) that an exact simplex can pin down.  Duality runs
 the other way: any nonnegative row combination whose column sums reach 1
 bounds f_r from above, and the alpha/beta/gamma certificate is exactly
 such a combination.
@@ -14,7 +14,9 @@ from frankl_lab import (bar_f, build_relaxation, certificate_to_dual,
                         prove_diagonal_relaxation_value, solve_exact,
                         symmetric_relaxation_value, verify_dual_bound)
 
-# Small instances solve directly with the dense exact simplex.
+# Small instances solve directly on the explicit program: one variable
+# per subset, with an integer-preserving simplex that keeps every
+# tableau entry an integer over one common denominator.
 print("sandwich f <= f_r on n = 3:")
 for a in range(1, 5):
     f = compute_f(3, a).value
@@ -29,7 +31,7 @@ print("\nstrong duality:", verify_dual_bound(problem, solution.dual) == solution
 # Everything in the program is symmetric under permutations of the
 # ground elements, so an optimal solution exists that depends only on
 # |S|.  Collapsing to one variable per cardinality solves n = 8, 9 in
-# milliseconds where the dense tableau would need ~10^5 rows.
+# milliseconds, where the explicit program has ~10^5 rows.
 for n in (5, 8, 9):
     value, levels = symmetric_relaxation_value(n, n)
     print(f"\nf_r({n},{n}) = {value} (~{float(value):.4f}), floor {math.floor(value)}")

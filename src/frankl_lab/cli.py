@@ -221,8 +221,10 @@ def _cmd_table(args) -> int:
         for a in range(lo, hi + 1):
             sol = solve_exact(build_relaxation(a, a), _budget_from(args))
             rows.append((a, math.floor(sol.objective)))
-            notes.append(f"a={a}: exact value {sol.objective}")
-            if sol.status != "optimal":
+            if sol.status == "optimal":
+                notes.append(f"a={a}: exact value {sol.objective}")
+            else:
+                notes.append(f"a={a}: feasible lower bound {sol.objective}")
                 notes.append(f"a={a}: status {sol.status}")
     if args.format == "csv":
         print("a,value")

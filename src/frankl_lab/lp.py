@@ -11,13 +11,17 @@ Union rows for comparable pairs are omitted: with S <= T the row reduces
 to x_S <= 1, already a box row, so the feasible region is unchanged.
 Each unordered pair appears once.
 
-The solver is a dense tableau simplex over `fractions.Fraction`.  Every
+The solver is an exact simplex on the condensed tableau (one column
+per nonbasic variable, no slack identity block) in integer-preserving
+form: every entry is an integer over one common denominator, and each
+pivot divides exactly by the previous pivot element (Edmonds 1967,
+Bareiss 1968), so no rational arithmetic runs inside the loop.  Every
 right-hand side is positive, so the all-slack basis is feasible and no
 phase-1 is needed.  Pivoting uses the largest-coefficient rule until a
 run of degenerate pivots is detected, then falls back to Bland's rule
 (which cannot cycle) until progress resumes.  Rows and variables are
-ordered by mask value, so identical problems pivot identically and
-solutions are deterministic.
+ordered by mask value and ties go to the smallest variable index, so
+identical problems pivot identically and solutions are deterministic.
 
 Dual side: an assignment y >= 0 of multipliers to rows is accepted by
 `verify_dual_bound` iff every variable's y-weighted column sum reaches
@@ -37,7 +41,7 @@ from functools import cached_property
 from math import comb
 from typing import Optional
 
-from .certificate import DualCertificate, bar_f
+from .certificate import DualCertificate, bar_f, make_certificate
 from .families import popcount
 from .search import NO_BUDGET, SearchBudget
 
@@ -145,31 +149,40 @@ def _simplex_max(objective: list[int],
     feasible and pivoting starts immediately.  Returns
     (status, value, primal list, dual list, pivots); on "budget" the
     primal is the current feasible basic solution and the dual is empty.
+
+    The condensed tableau holds integers only: row i is
+    [N[i][0], ..., N[i][nv-1], rhs_i], the cost row is
+    [reduced costs..., objective], and the true tableau is every entry
+    divided by the common denominator det > 0.  Variable j < nv is
+    structural, nv + r is the slack of row r; basis[i] names the basic
+    variable of row i and nonbasic[c] the variable of column c.  As det
+    scales every entry alike, each sign test, minimum and ratio
+    comparison below decides exactly as it would on the rational
+    tableau.
     """
     t0 = time.perf_counter()
     nv = len(objective)
     m_rows = len(rows)
-    width = nv + m_rows + 1
 
-    tableau: list[list] = []
-    for r, (coeffs, rhs) in enumerate(rows):
+    tableau: list[list[int]] = []
+    for coeffs, rhs in rows:
         if rhs < 0:
             raise ValueError("negative right-hand side")
-        line = [0] * width
+        line = [0] * (nv + 1)
         for j, c in coeffs.items():
             line[j] = c
-        line[nv + r] = 1
-        line[-1] = rhs
+        line[nv] = rhs
         tableau.append(line)
-    # reduced-cost row; the last entry tracks the objective value
-    cost = [-c for c in objective] + [0] * m_rows + [0]
+    cost = [-c for c in objective] + [0]
     basis = [nv + r for r in range(m_rows)]
+    nonbasic = list(range(nv))
+    det = 1
 
     def _primal() -> list[Fraction]:
         x = [Fraction(0)] * nv
         for i in range(m_rows):
             if basis[i] < nv:
-                x[basis[i]] = Fraction(tableau[i][-1])
+                x[basis[i]] = Fraction(tableau[i][nv], det)
         return x
 
     pivots = 0
@@ -177,40 +190,39 @@ def _simplex_max(objective: list[int],
     bland = False
     while True:
         if budget.max_nodes is not None and pivots >= budget.max_nodes:
-            return "budget", Fraction(cost[-1]), _primal(), [], pivots
+            return "budget", Fraction(cost[nv], det), _primal(), [], pivots
         if (budget.max_seconds is not None and pivots % 16 == 0
                 and time.perf_counter() - t0 > budget.max_seconds):
-            return "budget", Fraction(cost[-1]), _primal(), [], pivots
+            return "budget", Fraction(cost[nv], det), _primal(), [], pivots
 
-        enter = None
-        if bland:
-            for j in range(nv + m_rows):
-                if cost[j] < 0:
-                    enter = j
-                    break
-        else:
-            best = 0
-            for j in range(nv + m_rows):
-                if cost[j] < best:
-                    best = cost[j]
-                    enter = j
-        if enter is None:
+        # most negative reduced cost, ties to the smallest variable
+        # index; under Bland's rule the smallest index of any negative one
+        candidates = [c for c in range(nv) if cost[c] < 0]
+        if not candidates:
             break  # optimal
+        if bland:
+            enter = min(candidates, key=nonbasic.__getitem__)
+        else:
+            enter = min(candidates, key=lambda c: (cost[c], nonbasic[c]))
 
-        best_ratio = None
+        # ratio test rhs_i / N[i][enter] by cross-multiplication, ties
+        # to the smaller basic variable index
         pivot_row = None
         for i in range(m_rows):
             aij = tableau[i][enter]
             if aij > 0:
-                ratio = Fraction(tableau[i][-1]) / aij
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[pivot_row])):
-                    best_ratio = ratio
+                if pivot_row is None:
+                    pivot_row = i
+                    continue
+                lhs = tableau[i][nv] * tableau[pivot_row][enter]
+                rhs = tableau[pivot_row][nv] * aij
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
                     pivot_row = i
         if pivot_row is None:
             return "unbounded", None, [], [], pivots
 
-        if best_ratio == 0:
+        prow = tableau[pivot_row]
+        if prow[nv] == 0:
             degenerate_run += 1
             if degenerate_run >= _DEGENERATE_RUN_LIMIT:
                 bland = True
@@ -218,27 +230,42 @@ def _simplex_max(objective: list[int],
             degenerate_run = 0
             bland = False
 
-        piv = Fraction(tableau[pivot_row][enter])
-        if piv != 1:
-            tableau[pivot_row] = [x / piv for x in tableau[pivot_row]]
-        prow = tableau[pivot_row]
-        for i in range(m_rows):
-            if i != pivot_row and tableau[i][enter]:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], prow)]
-        if cost[enter]:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, prow)]
-        basis[pivot_row] = enter
+        # integer-preserving pivot: every quotient below is exact
+        piv = prow[enter]
+        for i, line in enumerate(tableau):
+            if i != pivot_row:
+                tableau[i] = _pivot_line(line, prow, enter, piv, det)
+        cost = _pivot_line(cost, prow, enter, piv, det)
+        # the pivot row keeps its entries over the new denominator piv
+        prow[enter] = det
+        det = piv
+        basis[pivot_row], nonbasic[enter] = nonbasic[enter], basis[pivot_row]
         pivots += 1
 
-    value = Fraction(cost[-1])
-    dual = [Fraction(cost[nv + r]) for r in range(m_rows)]
+    value = Fraction(cost[nv], det)
+    dual = [Fraction(0)] * m_rows
+    for c in range(nv):
+        if nonbasic[c] >= nv:
+            dual[nonbasic[c] - nv] = Fraction(cost[c], det)
     # strong duality is an internal guard: a mismatch would be a solver bug
     weighted_rhs = sum(Fraction(rows[r][1]) * dual[r] for r in range(m_rows))
     if weighted_rhs != value:
         raise AssertionError("strong duality violated: primal and dual objectives differ")
     return "optimal", value, _primal(), dual, pivots
+
+
+def _pivot_line(line: list[int], prow: list[int], enter: int,
+                piv: int, det: int) -> list[int]:
+    """One non-pivot row after pivoting on prow[enter] = piv."""
+    f = line[enter]
+    if f:
+        new = [(x * piv - f * y) // det for x, y in zip(line, prow)]
+    elif piv == det:
+        return line
+    else:
+        new = [x * piv // det for x in line]
+    new[enter] = -f
+    return new
 
 
 def solve_exact(problem: LpProblem, budget: SearchBudget = NO_BUDGET) -> LpSolution:
@@ -344,8 +371,6 @@ def certificate_dual_bound(n: int, a: int) -> Fraction:
     Returns the verified bound, which equals bar_f(n, a) exactly.
     """
     problem = build_relaxation(n, a)
-    from .certificate import make_certificate
-
     cert = make_certificate(n)
     value = verify_dual_bound(problem, certificate_to_dual(cert, problem))
     expected = bar_f(n, a)
@@ -371,10 +396,10 @@ def symmetric_relaxation_value(n: int, a: int,
                    sum_k C(n-1, k-1) t_k <= a
                    0 <= t_k <= 1
 
-    with identical optimal value.  This turns instances far beyond the
-    dense tableau's reach (n = 8, 9) into sub-millisecond solves; the
-    equality with `solve_exact` is exercised directly in the tests for
-    every n <= 4.
+    with identical optimal value.  This turns instances whose explicit
+    program has ~10^5 rows (n = 8, 9) into millisecond solves on the
+    same exact simplex kernel as `solve_exact`; the two values are
+    checked equal in the tests for every n <= 5.
 
     Returns (value, {k: t_k}).
     """
@@ -424,8 +449,6 @@ def prove_diagonal_relaxation_value(n: int) -> Fraction:
     _assert_primal_feasible(problem, primal)
     if sum(primal.values()) != value:
         raise AssertionError("lifted primal objective drifted")
-    from .certificate import make_certificate
-
     upper = verify_dual_bound(problem, certificate_to_dual(make_certificate(n), problem))
     if upper != value:
         raise AssertionError(

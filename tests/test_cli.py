@@ -129,6 +129,19 @@ def test_table_fr(capsys):
     assert any("13/2" in n for n in blob["notes"])
 
 
+def test_table_fr_budget_rows_are_lower_bounds(capsys):
+    code, out, _ = run_cli(capsys, "table", "--what", "fr", "--to", "4",
+                           "--max-nodes", "5")
+    assert code == 2
+    notes = [line for line in out.splitlines() if line.startswith("note:")]
+    # only (1,1) finishes within 5 pivots; the others stop on the budget
+    assert "note: a=1: exact value 2" in notes
+    for a in (2, 3, 4):
+        assert not any(n.startswith(f"note: a={a}: exact value") for n in notes)
+        assert any(n.startswith(f"note: a={a}: feasible lower bound") for n in notes)
+        assert f"note: a={a}: status budget" in notes
+
+
 def test_invalid_arguments_exit_1(capsys):
     assert main(["f", "--n", "4"]) == 1           # missing --a
     capsys.readouterr()

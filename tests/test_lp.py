@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,12 +11,28 @@ from frankl_lab import (DualInfeasibleError, SearchBudget, bar_f,
                         make_certificate, problem_to_text,
                         prove_diagonal_relaxation_value, solve_exact,
                         symmetric_relaxation_value, verify_dual_bound)
-from frankl_lab.lp import union_size_pattern
+from frankl_lab.lp import LpProblem, Row, union_size_pattern
 
 F = Fraction
 
 # exact optima frozen from solver runs, cross-checked against HiGHS below
 FROZEN_FR = {(2, 1): F(8, 3), (3, 1): F(17, 5), (3, 3): F(13, 2), (4, 4): F(48, 5)}
+
+# (objective, pivots) of every n <= 4 instance, in (n, a) order; the pivot
+# counts pin the pivot rule (entering, ratio test, Bland switch), not just
+# the optimum
+FROZEN_PIVOT_PATH = {
+    (1, 1): (F(2), 2),
+    (2, 1): (F(8, 3), 4), (2, 2): (F(4), 5),
+    (3, 1): (F(17, 5), 10), (3, 2): (F(5), 12), (3, 3): (F(13, 2), 12),
+    (3, 4): (F(8), 13),
+    (4, 1): (F(29, 7), 23), (4, 2): (F(25, 4), 36), (4, 3): (F(8), 33),
+    (4, 4): (F(48, 5), 48), (4, 5): (F(56, 5), 42), (4, 6): (F(64, 5), 42),
+    (4, 7): (F(72, 5), 42), (4, 8): (F(16), 54),
+}
+
+# f_r(5, a) for a = 1..5
+FR_N5 = {1: F(44, 9), 2: F(23, 3), 3: F(262, 27), 4: F(317, 27), 5: F(583, 43)}
 
 
 def brute_union_row_count(n):
@@ -94,6 +111,14 @@ def test_exact_solver_agrees_with_scipy():
             assert abs(float(exact) + res.fun) < 1e-8, (n, a)
 
 
+def test_pivot_path_is_frozen():
+    assert len(FROZEN_PIVOT_PATH) == sum(1 << (n - 1) for n in range(1, 5))
+    for (n, a), (objective, pivots) in FROZEN_PIVOT_PATH.items():
+        sol = solve_exact(build_relaxation(n, a))
+        assert sol.status == "optimal"
+        assert (sol.objective, sol.pivots) == (objective, pivots), (n, a)
+
+
 def test_lp_value_sandwiches_f():
     for n in range(1, 5):
         for a in range(1, (1 << (n - 1)) + 1):
@@ -123,6 +148,39 @@ def test_budget_stops_with_feasible_partial_result():
     assert sol.pivots == 3
     assert sol.dual == {}
     assert all(0 <= v <= 1 for v in sol.primal.values())
+
+
+def test_time_budget_stops_with_feasible_partial_result(monkeypatch):
+    # a clock that advances 0.1 s per reading: the clock is read every 16
+    # pivots, so a 0.15 s budget passes the check at 0 and stops at 16
+    ticks = count()
+    monkeypatch.setattr("frankl_lab.lp.time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks) / 10))
+    p = build_relaxation(4, 4)
+    sol = solve_exact(p, SearchBudget(max_seconds=0.15))
+    assert sol.status == "budget"
+    assert sol.pivots == 16
+    assert sol.dual == {}
+    assert set(sol.primal) == set(p.variables)
+    for row in p.rows:
+        assert sum(c * sol.primal[m] for m, c in row.coeffs.items()) <= row.rhs
+    assert sol.objective == sum(sol.primal.values())
+
+
+def test_column_bounded_by_no_row_is_unbounded():
+    # x_1 appears in no row, so it can grow without limit
+    p = LpProblem(1, 1, (0, 1), (Row("box", ("box", 0), {0: 1}, 1),))
+    sol = solve_exact(p)
+    assert sol.status == "unbounded"
+    assert sol.objective is None
+    assert sol.primal == {} and sol.dual == {}
+
+
+def test_negative_right_hand_side_rejected():
+    p = LpProblem(1, 1, (0, 1), (Row("box", ("box", 0), {0: 1}, -1),
+                                 Row("box", ("box", 1), {1: 1}, 1)))
+    with pytest.raises(ValueError):
+        solve_exact(p)
 
 
 def test_solution_json_uses_exact_strings():
@@ -227,7 +285,17 @@ def test_collapsed_value_equals_full_solver_everywhere_small():
 
 def test_collapsed_value_at_55_matches_frozen_full_solve():
     value, _ = symmetric_relaxation_value(5, 5)
-    assert value == F(583, 43)  # dense-tableau result, frozen
+    assert value == F(583, 43)  # explicit solve_exact(5, 5) optimum, frozen
+
+
+def test_explicit_and_collapsed_engines_agree_at_n5():
+    for a, expected in FR_N5.items():
+        p = build_relaxation(5, a)
+        sol = solve_exact(p)
+        assert sol.status == "optimal"
+        assert sol.objective == expected, a
+        assert symmetric_relaxation_value(5, a)[0] == expected, a
+        assert verify_dual_bound(p, sol.dual) == sol.objective, a
 
 
 def test_collapsed_levels_lift_to_feasible_primal():

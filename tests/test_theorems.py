@@ -76,7 +76,7 @@ def test_covering_base_cases():
 
 # --- g plateau theorem -------------------------------------------------------------
 
-@pytest.mark.parametrize("n,expected", [(3, 4), (4, 8), (5, 16)])
+@pytest.mark.parametrize("n,expected", [(3, 4), (4, 8), (5, 16), (6, 32)])
 def test_g_theorem(n, expected):
     report = verify_g_theorem(n)
     assert report.verified
@@ -87,7 +87,7 @@ def test_g_theorem_range_guard():
     with pytest.raises(ValueError):
         verify_g_theorem(2)
     with pytest.raises(ValueError):
-        verify_g_theorem(6)
+        verify_g_theorem(7)
 
 
 # --- pruned power set construction ---------------------------------------------------
