@@ -20,12 +20,12 @@ from .lp import (DualInfeasibleError, LpProblem, LpSolution, Row,
                  prove_diagonal_relaxation_value, solve_exact,
                  symmetric_relaxation_value, verify_dual_bound)
 from .reports import VerificationReport
-from .search import (FResult, GResult, SearchBudget, check_fg_duality,
-                     compute_f, compute_g, enumerate_union_closed,
-                     random_union_closed)
-from .theorems import (CLAIMS, check_missing_covering, check_missing_subsets,
-                       powerset_minus_singletons, run_claim, verify_f_theorem,
-                       verify_g_theorem, verify_monotonicity)
+from .search import (FResult, GResult, SearchBudget, compute_f, compute_g,
+                     enumerate_union_closed, random_union_closed)
+from .theorems import (CLAIMS, check_fg_duality, check_missing_covering,
+                       check_missing_subsets, powerset_minus_singletons,
+                       run_claim, verify_f_theorem, verify_g_theorem,
+                       verify_monotonicity)
 
 __version__ = "0.1.0"
 

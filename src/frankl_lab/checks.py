@@ -142,25 +142,16 @@ def check_section3_theorems() -> CheckResult:
 
 
 def check_lemma_suite() -> CheckResult:
+    def both_lemmas(family):
+        # one pass over the corpus: the first lemma's report unless it holds
+        rep = thm_mod.check_missing_subsets(family)
+        return rep if not rep.verified else thm_mod.check_missing_covering(family)
+
     def run():
-        families = 0
-        for n in range(1, 5):
-            for family in search_mod.enumerate_union_closed(n):
-                for checker in (thm_mod.check_missing_subsets,
-                                thm_mod.check_missing_covering):
-                    rep = checker(family)
-                    if not rep.verified:
-                        return False, f"{rep.claim} violated on n={n}: {rep.violations[:1]}"
-                families += 1
-        for n in thm_mod.LEMMA_RANDOM_NS:
-            for family in thm_mod.random_closures(n, thm_mod.LEMMA_RANDOM_COUNT):
-                for checker in (thm_mod.check_missing_subsets,
-                                thm_mod.check_missing_covering):
-                    rep = checker(family)
-                    if not rep.verified:
-                        return False, f"{rep.claim} violated on n={n}: {rep.violations[:1]}"
-                families += 1
-        return True, f"both missing-set lemmas hold on {families} families"
+        rep = thm_mod.run_lemma_claim(both_lemmas, "missing-set lemmas")
+        if not rep.verified:
+            return False, f"a missing-set lemma is violated: {rep.violations[:1]}"
+        return True, f"both missing-set lemmas hold on {rep.scope['families_checked']} families"
 
     return _timed(7, "missing-set lemma property suite", 300.0, run)
 
@@ -185,7 +176,7 @@ def check_monotonicity() -> CheckResult:
 def check_fg_duality() -> CheckResult:
     def run():
         for n in (3, 4):
-            rep = search_mod.check_fg_duality(n, 1 << n)
+            rep = thm_mod.check_fg_duality(n, 1 << n)
             if not rep.verified:
                 return False, f"duality grid fails at n={n}: {rep.violations[:3]}"
         return True, "f/g equivalence holds on the full grids for n = 3, 4"

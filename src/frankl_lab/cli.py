@@ -164,13 +164,9 @@ def _cmd_certify(args) -> int:
 def _cmd_verify(args) -> int:
     claims = list(CLAIMS) if args.claim == "all" else [args.claim]
     kwargs = {}
-    if args.n is not None:
-        if args.claim in ("thm-g", "thm-f-2n-minus-n"):
-            kwargs["ns"] = (args.n,)
-        elif args.claim in ("missing-subsets", "missing-covering"):
-            kwargs["ns"] = (args.n,)
-        elif args.claim == "fg-duality":
-            kwargs["ns"] = (args.n,)
+    if args.n is not None and args.claim in ("thm-g", "thm-f-2n-minus-n", "missing-subsets",
+                                             "missing-covering", "fg-duality"):
+        kwargs["ns"] = (args.n,)
     if args.count is not None:
         kwargs["count"] = args.count
     if args.seed is not None:

@@ -189,17 +189,16 @@ def _simplex_max(objective: list[int],
     degenerate_run = 0
     bland = False
     while True:
+        # most negative reduced cost, ties to the smallest variable
+        # index; under Bland's rule the smallest index of any negative one
+        candidates = [c for c in range(nv) if cost[c] < 0]
+        if not candidates:
+            break  # optimal: the budget stops only a solve that can still improve
         if budget.max_nodes is not None and pivots >= budget.max_nodes:
             return "budget", Fraction(cost[nv], det), _primal(), [], pivots
         if (budget.max_seconds is not None and pivots % 16 == 0
                 and time.perf_counter() - t0 > budget.max_seconds):
             return "budget", Fraction(cost[nv], det), _primal(), [], pivots
-
-        # most negative reduced cost, ties to the smallest variable
-        # index; under Bland's rule the smallest index of any negative one
-        candidates = [c for c in range(nv) if cost[c] < 0]
-        if not candidates:
-            break  # optimal
         if bland:
             enter = min(candidates, key=nonbasic.__getitem__)
         else:

@@ -4,11 +4,25 @@ f(n,a) = maximum size of a union-closed family on [n] in which every
 element lies in at most a members.  g(n,m) = minimum, over union-closed
 families of exactly m sets on [n], of the most frequent element's count.
 
-Three engines, chosen per instance:
+Two searches:
 
-  exhaustive   all 2^(2^n) subfamilies, n <= 4 only.  A single scan per n
-               is cached and answers every (a) and (m) query, with
-               lexicographically smallest witnesses among the optima.
+  depth-first  one kernel, _depth_first, over masks ordered by descending
+               popcount, so any union of included sets lies strictly
+               earlier in the order and closure is enforced incrementally.
+               Each node includes its mask (if the family stays closed and
+               no element frequency passes a cap), then excludes it.  It
+               serves three callers through a per-node visit function:
+                 enumeration  n <= 4, no cap, no pruning: every
+                              union-closed family once, cached per n, with
+                              the f and g tables read off its leaves;
+                 f            n >= 5, cap a; prunes on incumbent size plus
+                              remaining capacity and, for n >= 7, stops at
+                              the certified upper bound fbar(n,a);
+                 g            cap one below the incumbent; prunes on a
+                              lower bound from the frequency slots needed.
+               f and g also cut isomorphs: at the first mask of each
+               popcount level, a partial family isomorphic under S_n to
+               one already explored there is cut (see _IsomorphRejector).
   complement   for g when few sets are missing (2^n - m <= n): choose the
                missing masks instead of the present ones, depth-first in
                ascending (popcount, value) order.  A choice is admissible
@@ -17,20 +31,12 @@ Three engines, chosen per instance:
                as it is chosen, and every complete choice is checked in
                full.  The objective is 2^(n-1) minus the least-covered
                element's cover count.
-  branch&bound depth-first over masks ordered by descending popcount, so
-               any union of included sets lies strictly earlier in the
-               order and closure can be enforced incrementally.  Prunes on
-               frequency caps, on incumbent size plus remaining capacity,
-               (for n >= 7) on the certified upper bound fbar(n,a), and on
-               isomorphs: at the first mask of each popcount level, a
-               partial family isomorphic under S_n to one already explored
-               there is cut (see _IsomorphRejector).
 
-Witness policy: exhaustive scans and the complement search return the
-lexicographically smallest optimal family; branch and bound returns the
-first optimum met in its fixed order (its size-based prune discards
-later ties by design, and an isomorph it cuts cannot hold a strictly
-better family).  All are deterministic run to run.
+Witness policy: the n <= 4 tables and the complement search return the
+lexicographically smallest optimal family; the kernel's f and g searches
+return the first optimum met in its fixed order (the size-based prune
+discards later ties by design, and an isomorph that is cut cannot hold a
+strictly better family).  All are deterministic run to run.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from typing import Iterator, Optional
 from . import certificate as _certificate
 from .families import (SetFamily, is_union_closed, max_frequency, popcount,
                        union_closure)
-from .reports import VerificationReport, report
 
 
 @dataclass(frozen=True)
@@ -145,67 +150,33 @@ EXHAUSTIVE_MAX_N = 4
 
 
 @lru_cache(maxsize=None)
-def _union_closed_bitsets(n: int) -> tuple[int, ...]:
-    """Every union-closed subfamily of 2^[n], encoded as a 2^n-bit integer
-    (bit m set iff mask m is a member), ascending.  n <= 4 only."""
+def _union_closed_leaves(n: int) -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], int]:
+    """Every union-closed family on [n] as (size, max frequency, masks), in
+    mask-bitset order, and the number of nodes the scan visited."""
+    leaves = []
     full = 1 << n
-    out = []
-    for bits in range(1 << full):
-        g = bits
-        masks = []
-        while g:
-            low = g & -g
-            masks.append(low.bit_length() - 1)
-            g ^= low
-        closed = True
-        for i in range(len(masks)):
-            mi = masks[i]
-            for j in range(i + 1, len(masks)):
-                if not (bits >> (mi | masks[j])) & 1:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            out.append(bits)
-    return tuple(out)
 
+    def visit(i, size, used, top, included):
+        if i < full:
+            return full  # no frequency cap
+        leaves.append((size, top, tuple(sorted(included))))
+        return None
 
-def _family_from_bitset(n: int, bits: int) -> SetFamily:
-    masks = []
-    while bits:
-        low = bits & -bits
-        masks.append(low.bit_length() - 1)
-        bits ^= low
-    return SetFamily(n, tuple(masks))
+    tick = _depth_first(n, NO_BUDGET, visit, isomorphs=False)
+    leaves.sort(key=lambda leaf: sum(1 << m for m in leaf[2]))
+    return tuple(leaves), tick.nodes
 
 
 def enumerate_union_closed(n: int) -> Iterator[SetFamily]:
     """Yield every union-closed subfamily of 2^[n] once, in mask-bitset order.
 
-    Guarded to n <= 4: there are 2^(2^n) candidates to sift.
+    Guarded to n <= 4, where the scan is cached and answers the f and g
+    tables too.
     """
     if n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_MAX_N}, got {n}")
-    for bits in _union_closed_bitsets(n):
-        yield _family_from_bitset(n, bits)
-
-
-def _bitset_stats(n: int, bits: int) -> tuple[int, int]:
-    """(size, max element frequency) of a family bitset."""
-    size = 0
-    freq = [0] * n
-    g = bits
-    while g:
-        low = g & -g
-        mask = low.bit_length() - 1
-        g ^= low
-        size += 1
-        while mask:
-            lo = mask & -mask
-            freq[lo.bit_length() - 1] += 1
-            mask ^= lo
-    return size, (max(freq) if freq else 0)
+    for _, _, masks in _union_closed_leaves(n)[0]:
+        yield SetFamily(n, masks)
 
 
 @lru_cache(maxsize=None)
@@ -220,9 +191,7 @@ def _exhaustive_tables(n: int) -> tuple[dict, dict]:
     """
     by_freq: dict[int, tuple[int, tuple[int, ...]]] = {}
     by_size: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for bits in _union_closed_bitsets(n):
-        size, mf = _bitset_stats(n, bits)
-        masks = tuple(_family_from_bitset(n, bits).masks)
+    for size, mf, masks in _union_closed_leaves(n)[0]:
         cur = by_freq.get(mf)
         if cur is None or size > cur[0] or (size == cur[0] and masks < cur[1]):
             by_freq[mf] = (size, masks)
@@ -244,7 +213,7 @@ def _exhaustive_f(n: int, a: int) -> tuple[int, tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# branch and bound for f, n >= 5
+# the depth-first kernel
 
 _BB_MAX_N = 11  # recursion depth is 2^n + O(1)
 # Relabellings a canonical form may try.  7! admits every boundary at
@@ -381,60 +350,47 @@ class _IsomorphRejector:
         return twin
 
 
-def _seed_incumbent_f(n: int, a: int) -> tuple[int, tuple[int, ...]]:
-    """Lower bound from the exhaustive n=4 table; any family on [4] is a
-    family on [n] for n >= 4 with unchanged frequencies."""
-    return _exhaustive_f(EXHAUSTIVE_MAX_N, min(a, 1 << EXHAUSTIVE_MAX_N))
+class _Halt(Exception):
+    """Raised by a visit function to end the search at once."""
 
 
-def _bb_f(n: int, a: int, budget: SearchBudget) -> FResult:
+def _depth_first(n: int, budget: SearchBudget, visit, isomorphs: bool = True) -> _Ticker:
+    """Depth-first search over the union-closed families on [n].
+
+    Node i decides order[i] of _branch_order(n): first it includes the
+    mask, if the family stays union-closed (every union of two members
+    lies earlier in the order, so one test against the members suffices)
+    and no element frequency exceeds the cap; then it excludes it.  Each
+    node, a leaf i == 2^n included, counts against the budget and calls
+    visit(i, size, used, top, included): `included` holds the members in
+    branch order, `used` is the sum and `top` the maximum of the element
+    frequencies.  visit does the caller's incumbent and bound bookkeeping
+    and returns the frequency cap for including order[i], or None to cut
+    the node; it must return None at a leaf, and may raise _Halt to end
+    the search.  With `isomorphs`, a node that survives visit is also cut
+    at a boundary where an isomorph was seen (see _IsomorphRejector).
+    Returns the ticker: node count, seconds, and whether the budget ran out.
+    """
     if n > _BB_MAX_N:
         raise ValueError(f"branch-and-bound search capped at n = {_BB_MAX_N}, got {n}")
     order = _branch_order(n)
-    length = len(order)
-    pcs = [popcount(m) for m in order]
-    tick = _Ticker(budget)
     iso = _IsomorphRejector(n, order)
-    boundary = iso.boundary
-
-    best_size, best_masks = _seed_incumbent_f(n, a)
-    cert_cap = math.floor(_certificate.bar_f(n, a)) if n >= 7 and a >= 1 else None
-    done_by_cap = cert_cap is not None and best_size >= cert_cap
-
+    elems = [iso.elems[mask] for mask in order]
+    boundary = iso.boundary if isomorphs else [False] * len(order)
+    tick = _Ticker(budget)
     freq = [0] * n
     included: list[int] = []
     inc_bits = 0
 
-    def rec(i: int, size: int, slots_left: int) -> None:
-        nonlocal best_size, best_masks, inc_bits, done_by_cap
-        if done_by_cap or not tick.tick():
+    def rec(i: int, size: int, used: int, top: int) -> None:
+        nonlocal inc_bits
+        if not tick.tick():
             return
-        if size > best_size:
-            best_size = size
-            best_masks = tuple(sorted(included))
-            if cert_cap is not None and best_size >= cert_cap:
-                done_by_cap = True
-                return
-        if i == length:
+        cap = visit(i, size, used, top, included)
+        if cap is None or (boundary[i] and iso.repeated(i, included)):
             return
-        rem = length - i
-        # the empty set sits at the end of the order and costs no slots
-        bound = size + 1 + min(rem - 1, slots_left)
-        if bound <= best_size:
-            return
-        if boundary[i] and iso.repeated(i, included):
-            return
-        mask = order[i]
-        k = pcs[i]
-        feasible = k <= slots_left
-        if feasible and k:
-            m = mask
-            while m:
-                low = m & -m
-                if freq[low.bit_length() - 1] >= a:
-                    feasible = False
-                    break
-                m ^= low
+        mask, es = order[i], elems[i]
+        feasible = top < cap or all(freq[e] < cap for e in es)  # top bounds every freq[e]
         if feasible:
             for t in included:
                 u = mask | t
@@ -442,29 +398,62 @@ def _bb_f(n: int, a: int, budget: SearchBudget) -> FResult:
                     feasible = False
                     break
         if feasible:
-            m = mask
-            while m:
-                low = m & -m
-                freq[low.bit_length() - 1] += 1
-                m ^= low
+            new_top = top
+            for e in es:
+                freq[e] += 1
+                if freq[e] > new_top:
+                    new_top = freq[e]
             included.append(mask)
             inc_bits |= 1 << mask
-            rec(i + 1, size + 1, slots_left - k)
+            rec(i + 1, size + 1, used + len(es), new_top)
             inc_bits &= ~(1 << mask)
             included.pop()
-            m = mask
-            while m:
-                low = m & -m
-                freq[low.bit_length() - 1] -= 1
-                m ^= low
-        rec(i + 1, size, slots_left)
+            for e in es:
+                freq[e] -= 1
+        rec(i + 1, size, used, top)
 
-    with _recursion_depth(length):
-        rec(0, 0, n * a)
+    with _recursion_depth(len(order)):
+        try:
+            rec(0, 0, 0, 0)
+        except _Halt:
+            pass
     del rec  # the closure refers to itself: free it and its search state now, not at a GC pass
-    proven = not tick.exhausted
+    return tick
+
+
+# ---------------------------------------------------------------------------
+# branch and bound for f, n >= 5
+
+
+def _seed_incumbent_f(n: int, a: int) -> tuple[int, tuple[int, ...]]:
+    """Lower bound from the exhaustive n=4 table; any family on [4] is a
+    family on [n] for n >= 4 with unchanged frequencies."""
+    return _exhaustive_f(EXHAUSTIVE_MAX_N, min(a, 1 << EXHAUSTIVE_MAX_N))
+
+
+def _bb_f(n: int, a: int, budget: SearchBudget) -> FResult:
+    length = 1 << n
+    best_size, best_masks = _seed_incumbent_f(n, a)
+    # an improvement that meets the certified bound ends the search (the
+    # n = 4 seed itself never meets it at n <= 11)
+    cert_cap = math.floor(_certificate.bar_f(n, a)) if n >= 7 and a >= 1 else None
+
+    def visit(i, size, used, top, included):
+        nonlocal best_size, best_masks
+        if size > best_size:
+            best_size, best_masks = size, tuple(sorted(included))
+            if cert_cap is not None and best_size >= cert_cap:
+                raise _Halt
+        if i == length:
+            return None
+        # the empty set sits at the end of the order and costs no slots
+        if size + 1 + min(length - i - 1, n * a - used) <= best_size:
+            return None
+        return a
+
+    tick = _depth_first(n, budget, visit)
     witness = SetFamily(n, best_masks)
-    return FResult(n, a, best_size, witness, proven, tick.nodes, tick.seconds)
+    return FResult(n, a, best_size, witness, not tick.exhausted, tick.nodes, tick.seconds)
 
 
 def compute_f(n: int, a: int, budget: SearchBudget = NO_BUDGET) -> FResult:
@@ -485,7 +474,7 @@ def compute_f(n: int, a: int, budget: SearchBudget = NO_BUDGET) -> FResult:
     if n <= EXHAUSTIVE_MAX_N:
         value, masks = _exhaustive_f(n, a)
         witness = SetFamily(n, masks)
-        nodes = 1 << (1 << n)
+        nodes = _union_closed_leaves(n)[1]
         return FResult(n, a, value, witness, True, nodes, time.perf_counter() - t0)
     result = _bb_f(n, a, budget)
     _validate_f_witness(result, a)
@@ -591,7 +580,7 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> GResult:
             missing.pop()
 
     rec(0)
-    del rec  # as in _bb_f: break the closure's reference to itself
+    del rec  # as in _depth_first: break the closure's reference to itself
     if best_value is None:
         raise AssertionError(f"no union-closed family of size {m} on [{n}]")
     witness = SetFamily(n, tuple(x for x in range(full) if x not in best_missing))
@@ -608,76 +597,25 @@ def _top_slice_family(n: int, m: int) -> tuple[int, ...]:
 
 
 def _bb_g(n: int, m: int, budget: SearchBudget) -> GResult:
-    if n > _BB_MAX_N:
-        raise ValueError(f"branch-and-bound search capped at n = {_BB_MAX_N}, got {n}")
-    order = _branch_order(n)
-    length = len(order)
-    pcs = [popcount(m_) for m_ in order]
-    tick = _Ticker(budget)
-    iso = _IsomorphRejector(n, order)
-    boundary = iso.boundary
+    length = 1 << n
+    best_masks = _top_slice_family(n, m)
+    best_value = max_frequency(SetFamily(n, best_masks)).count
 
-    seed_masks = _top_slice_family(n, m)
-    best_masks = seed_masks
-    best_value = max_frequency(SetFamily(n, seed_masks)).count
-
-    freq = [0] * n
-    included: list[int] = []
-    inc_bits = 0
-
-    def rec(i: int, size: int, used_slots: int, cur_max: int) -> None:
-        nonlocal best_value, best_masks, inc_bits
-        if not tick.tick():
-            return
+    def visit(i, size, used, top, included):
+        nonlocal best_value, best_masks
         if size == m:
-            if cur_max < best_value:
-                best_value = cur_max
-                best_masks = tuple(sorted(included))
-            return
+            if top < best_value:
+                best_value, best_masks = top, tuple(sorted(included))
+            return None
         if i == length or size + (length - i) < m:
-            return
-        need = m - size
-        empty_avail = 0 if (inc_bits & 1) else 1  # mask 0 still addable?
-        nonempty_needed = max(0, need - empty_avail)
-        lb = max(cur_max, -(-(used_slots + nonempty_needed) // n))
-        if lb >= best_value:
-            return
-        if boundary[i] and iso.repeated(i, included):
-            return
-        mask = order[i]
-        k = pcs[i]
-        feasible = True
-        for t in included:
-            u = mask | t
-            if u != t and not (inc_bits >> u) & 1:
-                feasible = False
-                break
-        if feasible:
-            new_max = cur_max
-            m_ = mask
-            while m_:
-                low = m_ & -m_
-                e = low.bit_length() - 1
-                freq[e] += 1
-                if freq[e] > new_max:
-                    new_max = freq[e]
-                m_ ^= low
-            included.append(mask)
-            inc_bits |= 1 << mask
-            if new_max < best_value:
-                rec(i + 1, size + 1, used_slots + k, new_max)
-            inc_bits &= ~(1 << mask)
-            included.pop()
-            m_ = mask
-            while m_:
-                low = m_ & -m_
-                freq[low.bit_length() - 1] -= 1
-                m_ ^= low
-        rec(i + 1, size, used_slots, cur_max)
+            return None
+        # the empty set sits at the end of the order, so before a leaf it
+        # is still available and one of the sets still needed costs no slots
+        if max(top, -(-(used + max(0, m - size - 1)) // n)) >= best_value:
+            return None
+        return best_value - 1
 
-    with _recursion_depth(length):
-        rec(0, 0, 0, 0)
-    del rec  # as in _bb_f: break the closure's reference to itself
+    tick = _depth_first(n, budget, visit)
     witness = SetFamily(n, best_masks)
     return GResult(n, m, best_value, witness, not tick.exhausted, tick.nodes, tick.seconds)
 
@@ -699,7 +637,7 @@ def compute_g(n: int, m: int, budget: SearchBudget = NO_BUDGET) -> GResult:
     elif n <= EXHAUSTIVE_MAX_N:
         _, by_size = _exhaustive_tables(n)
         value, masks = by_size[m]
-        nodes = 1 << (1 << n)
+        nodes = _union_closed_leaves(n)[1]
         result = GResult(n, m, value, SetFamily(n, masks), True, nodes,
                          time.perf_counter() - t0)
     else:
@@ -753,31 +691,3 @@ def random_union_closed(n: int, seed: int, density: Fraction | float | int | str
     stream = _splitmix64_stream(seed)
     masks = [m for m, u in zip(range(1 << n), stream) if u * den < threshold]
     return union_closure(SetFamily(n, tuple(masks)))
-
-
-# ---------------------------------------------------------------------------
-# f/g consistency
-
-
-def check_fg_duality(n: int, a_max: int) -> VerificationReport:
-    """Check f(n,a) >= m <=> g(n,m) <= a over the whole (a, m) grid.
-
-    Both directions are definitional once minimal-member removal is
-    available: a size-m subfamily of an f-witness keeps frequencies below
-    a, and a g-witness of size m is itself an f candidate.  A violation
-    can only mean a solver bug, so this doubles as a cross-check of the
-    two searches.  Exhaustive regime only (n <= 4).
-    """
-    if n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"duality check needs exhaustive tables, n <= {EXHAUSTIVE_MAX_N}")
-    if a_max < 1:
-        raise ValueError("a_max must be >= 1")
-    full = 1 << n
-    f_vals = {a: compute_f(n, a).value for a in range(1, a_max + 1)}
-    g_vals = {m: compute_g(n, m).value for m in range(1, full + 1)}
-    violations = []
-    for a in range(1, a_max + 1):
-        for m in range(1, full + 1):
-            if (f_vals[a] >= m) != (g_vals[m] <= a):
-                violations.append({"a": a, "m": m, "f": f_vals[a], "g": g_vals[m]})
-    return report("fg-duality", {"n": n, "a_max": a_max, "m_max": full}, violations)

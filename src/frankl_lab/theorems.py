@@ -19,6 +19,8 @@ VerificationReport; none of them re-derives a proof.  The claims:
                      n = a-1 on, except where a 2^n-set lattice is too
                      small to hold the plateau value at all (see
                      `verify_monotonicity`).
+  fg-duality         f(n,a) >= m iff g(n,m) <= a, over the whole (a, m)
+                     grid for n <= 4: a cross-check of the f and g searches.
 
 A violation anywhere would contradict a proved statement and therefore
 signals an implementation bug; suites treat it as build-stopping.
@@ -31,9 +33,9 @@ from fractions import Fraction
 from .families import (SetFamily, complement, frequencies, is_union_closed,
                        max_frequency, popcount)
 from .reports import VerificationReport, report
-from .search import (NO_BUDGET, SearchBudget, _complement_is_union_closed,
-                     compute_f, compute_g, enumerate_union_closed,
-                     random_union_closed)
+from .search import (EXHAUSTIVE_MAX_N, NO_BUDGET, SearchBudget,
+                     _complement_is_union_closed, compute_f, compute_g,
+                     enumerate_union_closed, random_union_closed)
 
 
 def _require_union_closed(family: SetFamily) -> None:
@@ -210,6 +212,30 @@ def verify_monotonicity(a: int, n_max: int,
     return report("monotonicity", scope, violations, notes, skipped=bool(skipped_ns))
 
 
+def check_fg_duality(n: int, a_max: int) -> VerificationReport:
+    """Check f(n,a) >= m <=> g(n,m) <= a over the whole (a, m) grid.
+
+    Both directions are definitional once minimal-member removal is
+    available: a size-m subfamily of an f-witness keeps frequencies below
+    a, and a g-witness of size m is itself an f candidate.  A violation
+    can only mean a solver bug, so this doubles as a cross-check of the
+    two searches.  Exhaustive regime only (n <= 4).
+    """
+    if n > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"duality check needs exhaustive tables, n <= {EXHAUSTIVE_MAX_N}")
+    if a_max < 1:
+        raise ValueError("a_max must be >= 1")
+    full = 1 << n
+    f_vals = {a: compute_f(n, a).value for a in range(1, a_max + 1)}
+    g_vals = {m: compute_g(n, m).value for m in range(1, full + 1)}
+    violations = []
+    for a in range(1, a_max + 1):
+        for m in range(1, full + 1):
+            if (f_vals[a] >= m) != (g_vals[m] <= a):
+                violations.append({"a": a, "m": m, "f": f_vals[a], "g": g_vals[m]})
+    return report("fg-duality", {"n": n, "a_max": a_max, "m_max": full}, violations)
+
+
 # ---------------------------------------------------------------------------
 # claim registry for batch runs
 
@@ -279,8 +305,6 @@ def run_claim(claim: str, **kwargs) -> VerificationReport:
                    for a in caps]
         return _merge_reports("monotonicity", reports)
     if claim == "fg-duality":
-        from .search import check_fg_duality
-
         ns = kwargs.get("ns", (3, 4))
         reports = [check_fg_duality(n, 1 << n) for n in ns]
         return _merge_reports("fg-duality", reports)

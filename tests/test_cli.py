@@ -134,9 +134,11 @@ def test_table_fr_budget_rows_are_lower_bounds(capsys):
                            "--max-nodes", "5")
     assert code == 2
     notes = [line for line in out.splitlines() if line.startswith("note:")]
-    # only (1,1) finishes within 5 pivots; the others stop on the budget
+    # (1,1) and (2,2) finish within 5 pivots, (2,2) on exactly the fifth;
+    # the others stop on the budget
     assert "note: a=1: exact value 2" in notes
-    for a in (2, 3, 4):
+    assert "note: a=2: exact value 4" in notes
+    for a in (3, 4):
         assert not any(n.startswith(f"note: a={a}: exact value") for n in notes)
         assert any(n.startswith(f"note: a={a}: feasible lower bound") for n in notes)
         assert f"note: a={a}: status budget" in notes

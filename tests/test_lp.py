@@ -119,6 +119,16 @@ def test_pivot_path_is_frozen():
         assert (sol.objective, sol.pivots) == (objective, pivots), (n, a)
 
 
+def test_pivot_budget_of_the_full_path_still_proves_optimality():
+    # optimal after exactly k pivots is optimal under max_nodes=k, not "budget"
+    for (n, a), (objective, pivots) in FROZEN_PIVOT_PATH.items():
+        p = build_relaxation(n, a)
+        full = solve_exact(p)
+        sol = solve_exact(p, SearchBudget(max_nodes=pivots))
+        assert (sol.status, sol.objective, sol.pivots) == ("optimal", objective, pivots), (n, a)
+        assert sol.dual == full.dual, (n, a)
+
+
 def test_lp_value_sandwiches_f():
     for n in range(1, 5):
         for a in range(1, (1 << (n - 1)) + 1):

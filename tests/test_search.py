@@ -13,8 +13,9 @@ from frankl_lab import (SearchBudget, SetFamily, bar_f, check_fg_duality,
 
 from conftest import all_subfamilies, is_union_closed_reference
 
-# Exhaustively derived value tables (full 2^(2^n) scans, cross-checked
-# against the frozenset reference below for n <= 2).
+# Value tables from exhaustive enumeration of the union-closed families on
+# [n]; the enumeration itself is checked against the frozenset reference
+# (every subfamily of the power set) below.
 UC_FAMILY_COUNTS = {1: 4, 2: 14, 3: 122, 4: 4960}
 F_TABLE_N3 = {1: 2, 2: 4, 3: 5, 4: 8}
 F_TABLE_N4 = {0: 1, 1: 2, 2: 4, 3: 5, 4: 8, 5: 9, 6: 10, 7: 12, 8: 16}
@@ -36,7 +37,7 @@ def test_n1_enumeration_lists_all_four_families():
     assert fams == [(), (0,), (1,), (0, 1)]
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumeration_matches_frozenset_reference(n):
     got = {frozenset(f.sets()) for f in enumerate_union_closed(n)}
     want = {frozenset(tuple(sorted(s)) for s in fam)
@@ -134,6 +135,30 @@ def test_f66_is_10():
     assert result.nodes * 10 < 6_025_732
 
 
+_F_WITNESS_9 = (0, 1, 2, 3, 4, 5, 6, 7, 15)
+
+
+@pytest.mark.parametrize("kind,n,k,budget,value,nodes,proven,masks", [
+    ("f", 5, 5, None, 9, 3_611, True, _F_WITNESS_9),
+    ("f", 6, 5, None, 9, 23_000, True, _F_WITNESS_9),
+    ("f", 6, 6, None, 10, 53_394, True, (0, 1, 2, 3, 4, 5, 6, 7, 11, 15)),
+    ("f", 5, 5, 50, 9, 56, False, _F_WITNESS_9),
+    ("g", 5, 15, None, 8, 10_320, True,
+     (3, 4, 7, 8, 11, 12, 15, 16, 19, 20, 23, 24, 27, 28, 31)),
+    ("g", 5, 20, None, 12, 18_702, True,
+     (0, 3, 7, 11, 12, 13, 14, 15, 16, 19, 21, 22, 23, 25, 26, 27, 28, 29, 30, 31)),
+    ("g", 5, 24, None, 14, 14_262, True,
+     (0, 3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 19, 21, 22, 23, 25, 26, 27, 28,
+      29, 30, 31)),
+])
+def test_branch_and_bound_path_is_pinned(kind, n, k, budget, value, nodes, proven, masks):
+    # value, node count and first-met witness of the search in its fixed order
+    compute = compute_f if kind == "f" else compute_g
+    result = compute(n, k, SearchBudget(max_nodes=budget))
+    assert (result.value, result.nodes, result.proven_optimal) == (value, nodes, proven)
+    assert result.witness.masks == masks
+
+
 @pytest.mark.stretch
 @pytest.mark.parametrize("a,expected", [(4, 8), (5, 9), (6, 10), (7, 12)])
 def test_f_at_n7(a, expected):
@@ -202,7 +227,7 @@ def test_f_result_json_schema():
     assert blob["n"] == 2 and blob["a"] == 1 and blob["value"] == 2
     assert blob["proven_optimal"] is True
     assert blob["witness"] == {"n": 2, "masks": [0, 1]}
-    assert blob["nodes"] == 1 << 4  # one full scan of the 2^(2^2) subfamilies
+    assert blob["nodes"] == 28  # the depth-first scan of the families on [2]
     assert "seconds" in blob
 
 
@@ -273,6 +298,21 @@ def test_g_complement_search_reaches_n7():
     result = compute_g(7, 122)
     assert result.value == 64
     assert result.proven_optimal
+
+
+def test_kernel_halt_ends_the_search_at_once():
+    # the certificate-cap stop of f: no node is visited after the halt
+    from frankl_lab.search import NO_BUDGET, _Halt, _depth_first
+    limit = sys.getrecursionlimit()
+
+    def visit(i, size, used, top, included):
+        if i == 10:
+            raise _Halt
+        return 5
+
+    tick = _depth_first(5, NO_BUDGET, visit)
+    assert (tick.nodes, tick.exhausted) == (11, False)  # nodes 0..10 of the first path
+    assert sys.getrecursionlimit() == limit
 
 
 def test_searches_restore_the_recursion_limit():
