@@ -4,23 +4,24 @@ f(n,a) = maximum size of a union-closed family on [n] in which every
 element lies in at most a members.  g(n,m) = minimum, over union-closed
 families of exactly m sets on [n], of the most frequent element's count.
 
-Two searches:
+Three engines:
 
-  depth-first  one kernel, _depth_first, over masks ordered by descending
-               popcount, so any union of included sets lies strictly
-               earlier in the order and closure is enforced incrementally.
-               Each node includes its mask (if the family stays closed and
-               no element frequency passes a cap), then excludes it.  It
-               serves three callers through a per-node visit function:
-                 enumeration  n <= 4, no cap, no pruning: every
-                              union-closed family once, cached per n, with
-                              the f and g tables read off its leaves;
-                 f            n >= 5, cap a; prunes on incumbent size plus
-                              remaining capacity and, for n >= 7, stops at
-                              the certified upper bound fbar(n,a);
-                 g            cap one below the incumbent; prunes on a
-                              lower bound from the frequency slots needed.
-               f and g also cut isomorphs: at the first mask of each
+  exhaustive   all 2^(2^n) subfamilies, n <= 4 only.  A single scan per n
+               is cached and answers every (a) and (m) query, with
+               lexicographically smallest witnesses among the optima.
+  depth-first  one branch-and-bound kernel, _depth_first, for f and g at
+               n >= 5, over masks ordered by descending popcount, so any
+               union of included sets lies strictly earlier in the order
+               and closure is enforced incrementally.  Each node includes
+               its mask (if the family stays closed and no element
+               frequency passes a cap), then excludes it.  A per-node visit
+               function carries each caller's incumbent and bound:
+                 f  cap a; prunes on incumbent size plus remaining
+                    capacity and, for n >= 7, stops at the certified upper
+                    bound fbar(n,a);
+                 g  cap one below the incumbent; prunes on a lower bound
+                    from the frequency slots needed.
+               The kernel also cuts isomorphs: at the first mask of each
                popcount level, a partial family isomorphic under S_n to
                one already explored there is cut (see _IsomorphRejector).
   complement   for g when few sets are missing (2^n - m <= n): choose the
@@ -32,7 +33,7 @@ Two searches:
                full.  The objective is 2^(n-1) minus the least-covered
                element's cover count.
 
-Witness policy: the n <= 4 tables and the complement search return the
+Witness policy: exhaustive scans and the complement search return the
 lexicographically smallest optimal family; the kernel's f and g searches
 return the first optimum met in its fixed order (the size-based prune
 discards later ties by design, and an isomorph that is cut cannot hold a
@@ -150,33 +151,67 @@ EXHAUSTIVE_MAX_N = 4
 
 
 @lru_cache(maxsize=None)
-def _union_closed_leaves(n: int) -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], int]:
-    """Every union-closed family on [n] as (size, max frequency, masks), in
-    mask-bitset order, and the number of nodes the scan visited."""
-    leaves = []
+def _union_closed_bitsets(n: int) -> tuple[int, ...]:
+    """Every union-closed subfamily of 2^[n], encoded as a 2^n-bit integer
+    (bit m set iff mask m is a member), ascending.  n <= 4 only."""
     full = 1 << n
+    out = []
+    for bits in range(1 << full):
+        g = bits
+        masks = []
+        while g:
+            low = g & -g
+            masks.append(low.bit_length() - 1)
+            g ^= low
+        closed = True
+        for i in range(len(masks)):
+            mi = masks[i]
+            for j in range(i + 1, len(masks)):
+                if not (bits >> (mi | masks[j])) & 1:
+                    closed = False
+                    break
+            if not closed:
+                break
+        if closed:
+            out.append(bits)
+    return tuple(out)
 
-    def visit(i, size, used, top, included):
-        if i < full:
-            return full  # no frequency cap
-        leaves.append((size, top, tuple(sorted(included))))
-        return None
 
-    tick = _depth_first(n, NO_BUDGET, visit, isomorphs=False)
-    leaves.sort(key=lambda leaf: sum(1 << m for m in leaf[2]))
-    return tuple(leaves), tick.nodes
+def _family_from_bitset(n: int, bits: int) -> SetFamily:
+    masks = []
+    while bits:
+        low = bits & -bits
+        masks.append(low.bit_length() - 1)
+        bits ^= low
+    return SetFamily(n, tuple(masks))
 
 
 def enumerate_union_closed(n: int) -> Iterator[SetFamily]:
     """Yield every union-closed subfamily of 2^[n] once, in mask-bitset order.
 
-    Guarded to n <= 4, where the scan is cached and answers the f and g
-    tables too.
+    Guarded to n <= 4: there are 2^(2^n) candidates to sift.
     """
     if n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_MAX_N}, got {n}")
-    for _, _, masks in _union_closed_leaves(n)[0]:
-        yield SetFamily(n, masks)
+    for bits in _union_closed_bitsets(n):
+        yield _family_from_bitset(n, bits)
+
+
+def _bitset_stats(n: int, bits: int) -> tuple[int, int]:
+    """(size, max element frequency) of a family bitset."""
+    size = 0
+    freq = [0] * n
+    g = bits
+    while g:
+        low = g & -g
+        mask = low.bit_length() - 1
+        g ^= low
+        size += 1
+        while mask:
+            lo = mask & -mask
+            freq[lo.bit_length() - 1] += 1
+            mask ^= lo
+    return size, (max(freq) if freq else 0)
 
 
 @lru_cache(maxsize=None)
@@ -191,7 +226,9 @@ def _exhaustive_tables(n: int) -> tuple[dict, dict]:
     """
     by_freq: dict[int, tuple[int, tuple[int, ...]]] = {}
     by_size: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for size, mf, masks in _union_closed_leaves(n)[0]:
+    for bits in _union_closed_bitsets(n):
+        size, mf = _bitset_stats(n, bits)
+        masks = tuple(_family_from_bitset(n, bits).masks)
         cur = by_freq.get(mf)
         if cur is None or size > cur[0] or (size == cur[0] and masks < cur[1]):
             by_freq[mf] = (size, masks)
@@ -245,10 +282,11 @@ class _IsomorphRejector:
     At the first mask of popcount k (n-1 >= k >= 2) every mask of larger
     popcount is decided and the undecided masks, those of popcount <= k,
     form a union of S_n-orbits.  From there on feasibility, the slot
-    counts, the running maximum and both bounds are S_n-equivariant, and
-    the incumbent only improves, so a partial family isomorphic to one
-    already explored at the same boundary cannot beat the incumbent; the
-    caller prunes it (the node still counts against the budget).
+    count, the running maximum and the decisions of the f and g visit
+    functions of _depth_first are S_n-invariant, and the incumbent only
+    improves, so a partial family isomorphic to one already explored at
+    the same boundary cannot beat the incumbent; the kernel prunes it
+    (the node still counts against the budget).
 
     Isomorphism is decided by a canonical form: the least sorted image of
     the family over the leaves of an individualise-and-refine search
@@ -354,7 +392,7 @@ class _Halt(Exception):
     """Raised by a visit function to end the search at once."""
 
 
-def _depth_first(n: int, budget: SearchBudget, visit, isomorphs: bool = True) -> _Ticker:
+def _depth_first(n: int, budget: SearchBudget, visit) -> _Ticker:
     """Depth-first search over the union-closed families on [n].
 
     Node i decides order[i] of _branch_order(n): first it includes the
@@ -367,8 +405,10 @@ def _depth_first(n: int, budget: SearchBudget, visit, isomorphs: bool = True) ->
     frequencies.  visit does the caller's incumbent and bound bookkeeping
     and returns the frequency cap for including order[i], or None to cut
     the node; it must return None at a leaf, and may raise _Halt to end
-    the search.  With `isomorphs`, a node that survives visit is also cut
-    at a boundary where an isomorph was seen (see _IsomorphRejector).
+    the search.  A node that survives visit is also cut at a boundary
+    where an isomorph was seen (see _IsomorphRejector).  That cut is sound
+    only because visit's return value depends on `included` only up to a
+    relabelling of [n], and any incumbent it keeps only improves.
     Returns the ticker: node count, seconds, and whether the budget ran out.
     """
     if n > _BB_MAX_N:
@@ -376,7 +416,7 @@ def _depth_first(n: int, budget: SearchBudget, visit, isomorphs: bool = True) ->
     order = _branch_order(n)
     iso = _IsomorphRejector(n, order)
     elems = [iso.elems[mask] for mask in order]
-    boundary = iso.boundary if isomorphs else [False] * len(order)
+    boundary = iso.boundary
     tick = _Ticker(budget)
     freq = [0] * n
     included: list[int] = []
@@ -474,7 +514,7 @@ def compute_f(n: int, a: int, budget: SearchBudget = NO_BUDGET) -> FResult:
     if n <= EXHAUSTIVE_MAX_N:
         value, masks = _exhaustive_f(n, a)
         witness = SetFamily(n, masks)
-        nodes = _union_closed_leaves(n)[1]
+        nodes = 1 << (1 << n)
         return FResult(n, a, value, witness, True, nodes, time.perf_counter() - t0)
     result = _bb_f(n, a, budget)
     _validate_f_witness(result, a)
@@ -637,7 +677,7 @@ def compute_g(n: int, m: int, budget: SearchBudget = NO_BUDGET) -> GResult:
     elif n <= EXHAUSTIVE_MAX_N:
         _, by_size = _exhaustive_tables(n)
         value, masks = by_size[m]
-        nodes = _union_closed_leaves(n)[1]
+        nodes = 1 << (1 << n)
         result = GResult(n, m, value, SetFamily(n, masks), True, nodes,
                          time.perf_counter() - t0)
     else:
