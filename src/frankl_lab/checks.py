@@ -94,13 +94,15 @@ def check_certificate_identities() -> CheckResult:
 
 def check_dual_bound() -> CheckResult:
     def run():
-        v77 = lp_mod.certificate_dual_bound(7, 7)
+        # each value is pinned by an exact primal-dual pair on the explicit LP
+        v77 = lp_mod.prove_diagonal_relaxation_value(7)
         if v77 != Fraction(387, 16):
-            return False, f"(7,7) bound {v77} != 387/16"
-        v88 = lp_mod.certificate_dual_bound(8, 8)
+            return False, f"(7,7) value {v77} != 387/16"
+        v88 = lp_mod.prove_diagonal_relaxation_value(8)
         if v88 != cert_mod.bar_f(8, 8) or v88 != Fraction(337, 11):
-            return False, f"(8,8) bound {v88} != bar_f(8,8)"
-        return True, "verified dual values 387/16 at (7,7) and 337/11 at (8,8)"
+            return False, f"(8,8) value {v88} != bar_f(8,8)"
+        return True, ("proved f_r = fbar by exact primal-dual pairs: "
+                      "387/16 at (7,7) and 337/11 at (8,8)")
 
     return _timed(4, "certificate-as-dual cross-check", 60.0, run)
 
@@ -142,16 +144,12 @@ def check_section3_theorems() -> CheckResult:
 
 
 def check_lemma_suite() -> CheckResult:
-    def both_lemmas(family):
-        # one pass over the corpus: the first lemma's report unless it holds
-        rep = thm_mod.check_missing_subsets(family)
-        return rep if not rep.verified else thm_mod.check_missing_covering(family)
-
     def run():
-        rep = thm_mod.run_lemma_claim(both_lemmas, "missing-set lemmas")
-        if not rep.verified:
-            return False, f"a missing-set lemma is violated: {rep.violations[:1]}"
-        return True, f"both missing-set lemmas hold on {rep.scope['families_checked']} families"
+        reports = thm_mod.run_lemma_claim(list(thm_mod.LEMMA_CHECKS.items()))
+        for rep in reports:
+            if not rep.verified:
+                return False, f"{rep.claim} is violated: {rep.violations[:1]}"
+        return True, f"both missing-set lemmas hold on {reports[0].scope['families_checked']} families"
 
     return _timed(7, "missing-set lemma property suite", 300.0, run)
 

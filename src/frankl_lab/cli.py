@@ -25,7 +25,7 @@ from .certificate import (bar_f, bar_f_diag, bound_table, make_certificate,
 from .families import family_to_json
 from .lp import build_relaxation, certificate_to_dual, problem_to_text, solve_exact, verify_dual_bound
 from .search import SearchBudget, compute_f, compute_g
-from .theorems import CLAIMS, run_claim
+from .theorems import CLAIMS, LEMMA_CHECKS, run_claim, run_lemma_claim
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -162,7 +162,6 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    claims = list(CLAIMS) if args.claim == "all" else [args.claim]
     kwargs = {}
     if args.n is not None and args.claim in ("thm-g", "thm-f-2n-minus-n", "missing-subsets",
                                              "missing-covering", "fg-duality"):
@@ -173,10 +172,12 @@ def _cmd_verify(args) -> int:
         kwargs["base_seed"] = args.seed
     if args.max_nodes or args.max_seconds:
         kwargs["budget"] = _budget_from(args)
-    reports = []
-    for claim in claims:
-        claim_kwargs = kwargs if args.claim != "all" else {}
-        reports.append(run_claim(claim, **claim_kwargs))
+    if args.claim == "all":
+        # both lemma claims share one pass over the corpus
+        reports = run_lemma_claim(list(LEMMA_CHECKS.items()))
+        reports += [run_claim(claim) for claim in CLAIMS if claim not in LEMMA_CHECKS]
+    else:
+        reports = [run_claim(args.claim, **kwargs)]
     if args.format == "json":
         _emit_json({"reports": [r.to_json() for r in reports]}, args)
     else:

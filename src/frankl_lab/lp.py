@@ -26,7 +26,11 @@ identical problems pivot identically and solutions are deterministic.
 Dual side: an assignment y >= 0 of multipliers to rows is accepted by
 `verify_dual_bound` iff every variable's y-weighted column sum reaches
 its objective coefficient 1; the weighted right-hand side sum is then an
-upper bound on the LP optimum (weak duality, exact).  The certificate
+upper bound on the LP optimum (weak duality, exact).  Both this check
+and the primal feasibility check run in integers: the vector is scaled
+once to integers over the lcm D of its denominators, and every row or
+column is then compared against its bound times D, so no rational
+arithmetic runs inside a loop over rows or columns.  The certificate
 multipliers (alpha on frequency rows, beta on size-(1,2,3) union rows,
 gamma on size-(2,2,4) union rows, 1 on the empty-set box row) map onto
 this interface via `certificate_to_dual`.
@@ -38,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, lcm
 from typing import Optional
 
 from .certificate import DualCertificate, bar_f, make_certificate
@@ -50,7 +54,7 @@ RowKey = tuple
 LP_MAX_N = 9  # 2^9 = 512 variables, ~1.3e5 union rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Row:
     """One <= constraint: sum of coeffs[mask] * x_mask <= rhs."""
 
@@ -246,9 +250,11 @@ def _simplex_max(objective: list[int],
     for c in range(nv):
         if nonbasic[c] >= nv:
             dual[nonbasic[c] - nv] = Fraction(cost[c], det)
-    # strong duality is an internal guard: a mismatch would be a solver bug
-    weighted_rhs = sum(Fraction(rows[r][1]) * dual[r] for r in range(m_rows))
-    if weighted_rhs != value:
+    # strong duality is an internal guard: a mismatch would be a solver bug;
+    # b'y and the objective are both compared over the denominator det
+    weighted_rhs = sum(rows[nonbasic[c] - nv][1] * cost[c]
+                       for c in range(nv) if nonbasic[c] >= nv)
+    if weighted_rhs != cost[nv]:
         raise AssertionError("strong duality violated: primal and dual objectives differ")
     return "optimal", value, _primal(), dual, pivots
 
@@ -290,13 +296,26 @@ def solve_exact(problem: LpProblem, budget: SearchBudget = NO_BUDGET) -> LpSolut
     return LpSolution("optimal", value, primal, dual, pivots, elapsed)
 
 
+def _over_common_denominator(values: dict) -> tuple[dict, int]:
+    """(numerators, D): every Fraction or int value as an integer over D,
+    the lcm of all denominators, so that value == numerator / D exactly."""
+    d = lcm(*{v.denominator for v in values.values()})
+    return {k: v.numerator * (d // v.denominator) for k, v in values.items()}, d
+
+
 def _assert_primal_feasible(problem: LpProblem, primal: dict[int, Fraction]) -> None:
+    """Raise AssertionError at the first row, then the first bound, that x breaks.
+
+    x is scaled once to integers X over one common denominator D, so each
+    row is checked as sum(c * X[m]) <= rhs * D and each bound as
+    0 <= X[m] <= D, in integers only.
+    """
+    scaled, d = _over_common_denominator(primal)
     for row in problem.rows:
-        total = sum(c * primal[m] for m, c in row.coeffs.items())
-        if total > row.rhs:
+        if sum(c * scaled[m] for m, c in row.coeffs.items()) > row.rhs * d:
             raise AssertionError(f"primal infeasible on row {row.key}")
-    for m, v in primal.items():
-        if not 0 <= v <= 1:
+    for m, v in scaled.items():
+        if not 0 <= v <= d:
             raise AssertionError(f"variable bound violated at mask {m}")
 
 
@@ -305,18 +324,23 @@ def verify_dual_bound(problem: LpProblem, dual: dict[RowKey, Fraction]) -> Fract
 
     Feasible means: for every variable x_S, the y-weighted column sum
     over the declared rows (box rows included) is at least the objective
-    coefficient 1; any excess is legal since x_S >= 0.  Raises
-    DualInfeasibleError naming the first violated column and its exact
-    deficit, ValueError for unknown rows or negative multipliers.
+    coefficient 1; any excess is legal since x_S >= 0.  Multipliers may
+    be Fractions or ints.  y is scaled once to integers over one common
+    denominator D, so each column sum is an integer compared with D and
+    b'y is accumulated as an integer over D.  Raises DualInfeasibleError
+    naming the first violated column and its exact deficit, ValueError
+    for unknown rows or negative multipliers.
     """
-    columns = {m: Fraction(0) for m in problem.variables}
-    bound = Fraction(0)
     by_key = problem.rows_by_key
     for key, mult in dual.items():
         if key not in by_key:
             raise ValueError(f"unknown row key {key!r} (problem/vector dimension mismatch)")
         if mult < 0:
             raise ValueError(f"dual multiplier for row {key!r} is negative: {mult}")
+    scaled, d = _over_common_denominator(dual)
+    columns = dict.fromkeys(problem.variables, 0)
+    bound = 0
+    for key, mult in scaled.items():
         if mult == 0:
             continue
         row = by_key[key]
@@ -324,9 +348,9 @@ def verify_dual_bound(problem: LpProblem, dual: dict[RowKey, Fraction]) -> Fract
         for mask, coeff in row.coeffs.items():
             columns[mask] += mult * coeff
     for mask in problem.variables:
-        if columns[mask] < 1:
-            raise DualInfeasibleError(mask, 1 - columns[mask])
-    return bound
+        if columns[mask] < d:
+            raise DualInfeasibleError(mask, Fraction(d - columns[mask], d))
+    return Fraction(bound, d)
 
 
 def union_size_pattern(row: Row) -> tuple[int, int, int]:
@@ -446,7 +470,8 @@ def prove_diagonal_relaxation_value(n: int) -> Fraction:
     problem = build_relaxation(n, n)
     primal = lift_symmetric_primal(problem, levels)
     _assert_primal_feasible(problem, primal)
-    if sum(primal.values()) != value:
+    scaled, d = _over_common_denominator(primal)
+    if Fraction(sum(scaled.values()), d) != value:
         raise AssertionError("lifted primal objective drifted")
     upper = verify_dual_bound(problem, certificate_to_dual(make_certificate(n), problem))
     if upper != value:

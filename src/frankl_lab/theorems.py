@@ -29,6 +29,7 @@ signals an implementation bug; suites treat it as build-stopping.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .families import (SetFamily, complement, frequencies, is_union_closed,
                        max_frequency, popcount)
@@ -260,36 +261,39 @@ def random_closures(n: int, count: int, base_seed: int = LEMMA_BASE_SEED):
         yield random_union_closed(n, base_seed + i, density)
 
 
-def run_lemma_claim(check, claim: str, ns=LEMMA_RANDOM_NS,
+def run_lemma_claim(checks, ns=LEMMA_RANDOM_NS,
                     count: int = LEMMA_RANDOM_COUNT,
-                    base_seed: int = LEMMA_BASE_SEED) -> VerificationReport:
-    """Exhaustive n <= 4 plus seeded random closures for the given check."""
-    violations = []
+                    base_seed: int = LEMMA_BASE_SEED) -> list[VerificationReport]:
+    """Exhaustive n <= 4 plus seeded random closures, in one pass.
+
+    `checks` is a sequence of (claim, check) pairs; every family of the
+    corpus is built once and handed to each check in turn.  Returns one
+    report per pair, in the given order.
+    """
+    violations: list[list] = [[] for _ in checks]
     families_checked = 0
-    for n in range(1, 5):
-        for family in enumerate_union_closed(n):
-            sub = check(family)
-            violations.extend({"n": n, "family": list(family.masks), **v}
-                              for v in sub.violations)
-            families_checked += 1
-    for n in ns:
-        for family in random_closures(n, count, base_seed):
-            sub = check(family)
-            violations.extend({"n": n, "family": list(family.masks), **v}
-                              for v in sub.violations)
-            families_checked += 1
+    corpus = chain(((n, family) for n in range(1, 5) for family in enumerate_union_closed(n)),
+                   ((n, family) for n in ns for family in random_closures(n, count, base_seed)))
+    for n, family in corpus:
+        for found, (_, check) in zip(violations, checks):
+            found.extend({"n": n, "family": list(family.masks), **v}
+                         for v in check(family).violations)
+        families_checked += 1
     scope = {"exhaustive_n": [1, 2, 3, 4], "random_ns": list(ns),
              "random_count": count, "base_seed": base_seed,
              "families_checked": families_checked}
-    return report(claim, scope, violations)
+    return [report(claim, dict(scope), found)
+            for found, (claim, _) in zip(violations, checks)]
+
+
+LEMMA_CHECKS = {"missing-subsets": check_missing_subsets,
+                "missing-covering": check_missing_covering}
 
 
 def run_claim(claim: str, **kwargs) -> VerificationReport:
     """Run one registered claim with its default scope (see CLAIMS)."""
-    if claim == "missing-subsets":
-        return run_lemma_claim(check_missing_subsets, claim, **kwargs)
-    if claim == "missing-covering":
-        return run_lemma_claim(check_missing_covering, claim, **kwargs)
+    if claim in LEMMA_CHECKS:
+        return run_lemma_claim([(claim, LEMMA_CHECKS[claim])], **kwargs)[0]
     if claim == "thm-g":
         ns = kwargs.get("ns", (3, 4, 5))
         reports = [verify_g_theorem(n, kwargs.get("budget", NO_BUDGET)) for n in ns]

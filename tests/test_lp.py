@@ -11,7 +11,8 @@ from frankl_lab import (DualInfeasibleError, SearchBudget, bar_f,
                         make_certificate, problem_to_text,
                         prove_diagonal_relaxation_value, solve_exact,
                         symmetric_relaxation_value, verify_dual_bound)
-from frankl_lab.lp import LpProblem, Row, union_size_pattern
+from frankl_lab.lp import (LpProblem, Row, _assert_primal_feasible,
+                           union_size_pattern)
 
 F = Fraction
 
@@ -245,6 +246,126 @@ def test_box_only_dual_is_feasible_and_weak():
     assert verify_dual_bound(p, y) == 4  # sum of box rhs; weak but legal
 
 
+# --- integer checks over one common denominator ------------------------------------
+
+def _mixed_primal(x3):
+    # denominators 3 and 7; x3 decides the union row of {1,2} and {1,3}
+    return {0: F(0), 1: F(1, 3), 2: F(2, 7), 3: x3, 4: F(0), 5: F(5, 7),
+            6: F(0), 7: F(2, 3)}
+
+
+def test_primal_check_catches_a_row_broken_by_one_21st():
+    p = build_relaxation(3, 3)
+    x = _mixed_primal(F(1))
+    row = p.rows_by_key[("union", 3, 5)]
+    assert sum(c * x[m] for m, c in row.coeffs.items()) == row.rhs + F(1, 21)
+    with pytest.raises(AssertionError, match=r"primal infeasible on row \('union', 3, 5\)"):
+        _assert_primal_feasible(p, x)
+
+
+def test_primal_check_accepts_the_row_met_with_equality():
+    p = build_relaxation(3, 3)
+    x = _mixed_primal(F(20, 21))
+    row = p.rows_by_key[("union", 3, 5)]
+    assert sum(c * x[m] for m, c in row.coeffs.items()) == row.rhs
+    _assert_primal_feasible(p, x)
+
+
+@pytest.mark.parametrize("value,other", [(F(8, 7), F(2, 7)), (F(-1, 5), F(2, 5))])
+def test_primal_check_catches_a_variable_bound(value, other):
+    # no box rows, so only the bound check can see the violation; the
+    # common denominator is 7 (or 5), so each value is one unit out of range
+    p = LpProblem(1, 2, (0, 1), (Row("frequency", ("frequency", 1), {1: 1}, 2),))
+    with pytest.raises(AssertionError, match="variable bound violated at mask 0"):
+        _assert_primal_feasible(p, {0: value, 1: other})
+
+
+def test_dual_check_with_mixed_denominators_and_an_int_multiplier():
+    # column 3 gets 1/3 + 1/7 from the frequency rows, 11/21 short of 1
+    p = build_relaxation(2, 1)
+    y = {("box", 0): 1, ("frequency", 1): F(1, 3), ("frequency", 2): F(1, 7),
+         ("box", 1): F(2, 3), ("box", 2): F(6, 7)}
+    with pytest.raises(DualInfeasibleError) as err:
+        verify_dual_bound(p, y)
+    assert err.value.mask == 3
+    assert type(err.value.deficit) is F and err.value.deficit == F(11, 21)
+    assert "falls short of 1 by 11/21" in str(err.value)
+    y[("box", 3)] = F(11, 21)
+    bound = verify_dual_bound(p, y)
+    assert type(bound) is F and bound == 3 + F(11, 21)
+
+
+def _reference_primal_failure(problem, primal):
+    """The first failure message of a row-by-row Fraction check, or None."""
+    for row in problem.rows:
+        if sum(c * primal[m] for m, c in row.coeffs.items()) > row.rhs:
+            return f"primal infeasible on row {row.key}"
+    for m, v in primal.items():
+        if not 0 <= v <= 1:
+            return f"variable bound violated at mask {m}"
+    return None
+
+
+def _reference_dual_bound(problem, dual):
+    """b'y, or (mask, deficit) at the first short column, in Fractions."""
+    columns = {m: F(0) for m in problem.variables}
+    bound = F(0)
+    for key, mult in dual.items():
+        row = problem.rows_by_key[key]
+        bound += mult * row.rhs
+        for m, c in row.coeffs.items():
+            columns[m] += mult * c
+    for m in problem.variables:
+        if columns[m] < 1:
+            return m, 1 - columns[m]
+    return bound
+
+
+def _primal_failure(problem, primal):
+    try:
+        _assert_primal_feasible(problem, primal)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def _dual_bound(problem, dual):
+    try:
+        return verify_dual_bound(problem, dual)
+    except DualInfeasibleError as exc:
+        return exc.mask, exc.deficit
+
+
+def _assert_checks_match_reference(problem, primal, dual):
+    assert _primal_failure(problem, primal) == _reference_primal_failure(problem, primal)
+    assert _dual_bound(problem, dual) == _reference_dual_bound(problem, dual)
+    # a primal scaled up breaks a tight row, and a dual with its largest
+    # multiplier cut breaks a column: both must fail exactly as the reference
+    bigger = {m: v * F(22, 21) for m, v in primal.items()}
+    assert _reference_primal_failure(problem, bigger) is not None
+    assert _primal_failure(problem, bigger) == _reference_primal_failure(problem, bigger)
+    key = max(dual, key=lambda k: (dual[k], k))
+    cut = {**dual, key: dual[key] * F(2, 7)}
+    assert isinstance(_reference_dual_bound(problem, cut), tuple)
+    assert _dual_bound(problem, cut) == _reference_dual_bound(problem, cut)
+
+
+@pytest.mark.parametrize("n,a", sorted(FROZEN_PIVOT_PATH))
+def test_integer_checks_match_fraction_reference_on_small_optima(n, a):
+    p = build_relaxation(n, a)
+    sol = solve_exact(p)
+    assert _reference_dual_bound(p, sol.dual) == sol.objective
+    _assert_checks_match_reference(p, sol.primal, sol.dual)
+
+
+def test_integer_checks_match_fraction_reference_on_the_n7_certificate():
+    p = build_relaxation(7, 7)
+    dual = certificate_to_dual(make_certificate(7), p)
+    primal = lift_symmetric_primal(p, symmetric_relaxation_value(7, 7)[1])
+    assert _reference_dual_bound(p, dual) == F(387, 16)
+    _assert_checks_match_reference(p, primal, dual)
+
+
 # --- certificate as dual ---------------------------------------------------------
 
 def test_certificate_row_multiplicities_at_n7():
@@ -325,7 +446,6 @@ def test_relaxation_diagonal_values_proven_exactly():
     assert math.floor(F(337, 11)) == 30
 
 
-@pytest.mark.slow
 def test_relaxation_diagonal_value_n9_proven_exactly():
     value = prove_diagonal_relaxation_value(9)
     assert value == F(1100, 29)

@@ -7,7 +7,9 @@ from frankl_lab import (SetFamily, check_missing_covering,
                         verify_f_theorem, verify_g_theorem,
                         verify_monotonicity)
 from frankl_lab.search import enumerate_union_closed
-from frankl_lab.theorems import CLAIMS, random_closures
+from frankl_lab import theorems
+from frankl_lab.reports import report
+from frankl_lab.theorems import CLAIMS, LEMMA_CHECKS, random_closures, run_lemma_claim
 
 
 # --- missing-subsets check ------------------------------------------------------
@@ -197,3 +199,26 @@ def test_run_claim_lemmas_small_corpus():
     assert report.scope["families_checked"] > 40  # exhaustive part included
     report = run_claim("missing-covering", ns=(5,), count=40)
     assert report.verified
+
+
+def test_run_lemma_claim_checks_every_pair_in_one_pass(monkeypatch):
+    built = []
+    draw = theorems.random_union_closed
+    monkeypatch.setattr(theorems, "random_union_closed",
+                        lambda *args: built.append(args) or draw(*args))
+    reports = run_lemma_claim(list(LEMMA_CHECKS.items()), ns=(5,), count=40)
+    assert len(built) == 40  # each random family is drawn once, not once per claim
+    assert [r.to_json() for r in reports] == [
+        run_claim(claim, ns=(5,), count=40).to_json() for claim in LEMMA_CHECKS]
+
+
+def test_run_lemma_claim_keeps_violations_with_their_claim():
+    def flag_all(family):
+        return report("flag", {}, [{"size": len(family)}])
+
+    ok, flagged = run_lemma_claim([("missing-subsets", check_missing_subsets),
+                                   ("flag", flag_all)], ns=(), count=0)
+    assert ok.claim == "missing-subsets" and ok.verified
+    assert flagged.claim == "flag" and flagged.status == "violated"
+    assert len(flagged.violations) == flagged.scope["families_checked"]
+    assert flagged.violations[0] == {"n": 1, "family": [], "size": 0}
