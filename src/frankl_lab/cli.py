@@ -20,11 +20,12 @@ import sys
 from fractions import Fraction
 
 from . import checks as checks_mod
+from .budget import SearchBudget
 from .certificate import (bar_f, bar_f_diag, bound_table, make_certificate,
                           verify_certificate)
 from .families import family_to_json
 from .lp import build_relaxation, certificate_to_dual, problem_to_text, solve_exact, verify_dual_bound
-from .search import SearchBudget, compute_f, compute_g
+from .search import compute_f, compute_g
 from .theorems import CLAIMS, LEMMA_CHECKS, run_claim, run_lemma_claim
 
 EXIT_OK = 0
@@ -163,15 +164,17 @@ def _cmd_certify(args) -> int:
 
 def _cmd_verify(args) -> int:
     kwargs = {}
-    if args.n is not None and args.claim in ("thm-g", "thm-f-2n-minus-n", "missing-subsets",
-                                             "missing-covering", "fg-duality"):
+    if args.n is not None:
         kwargs["ns"] = (args.n,)
     if args.count is not None:
         kwargs["count"] = args.count
     if args.seed is not None:
         kwargs["base_seed"] = args.seed
-    if args.max_nodes or args.max_seconds:
+    if args.max_nodes is not None or args.max_seconds is not None:
         kwargs["budget"] = _budget_from(args)
+    if args.claim == "all" and kwargs:
+        raise ValueError("--claim all runs every claim at its default scope and takes no "
+                         "--n, --count, --seed, --max-nodes or --max-seconds")
     if args.claim == "all":
         # both lemma claims share one pass over the corpus
         reports = run_lemma_claim(list(LEMMA_CHECKS.items()))

@@ -15,12 +15,16 @@ Conventions used across the package:
 
 Ground sizes are capped at n = 16: every mask fits in 16 bits and a full
 membership table fits in a single 65536-bit integer.
+
+The module also holds the closure predicates, frequency counts and
+seeded random families that the other layers share.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -169,14 +173,9 @@ def union_closure(family: SetFamily) -> SetFamily:
 
 def frequencies(family: SetFamily) -> FrequencyVector:
     """Exact per-element membership counts."""
-    counts = [0] * family.n
-    for mask in family.masks:
-        m = mask
-        while m:
-            low = m & -m
-            counts[low.bit_length() - 1] += 1
-            m ^= low
-    return FrequencyVector(tuple(counts))
+    masks = family.masks
+    return FrequencyVector(tuple([len([m for m in masks if m >> e & 1])
+                                  for e in range(family.n)]))
 
 
 def max_frequency(family: SetFamily) -> MaxFrequency:
@@ -197,6 +196,34 @@ def complement(family: SetFamily) -> SetFamily:
     bits = family.member_bits
     missing = tuple(m for m in range(1 << family.n) if not (bits >> m) & 1)
     return SetFamily(family.n, missing)
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """All submasks of mask, including 0 and mask itself."""
+    s = mask
+    while True:
+        yield s
+        if s == 0:
+            return
+        s = (s - 1) & mask
+
+
+def complement_is_union_closed(n: int, missing_set: frozenset[int]) -> bool:
+    """Is 2^[n] minus the given masks union-closed?
+
+    Fails iff some missing mask U equals S | T for present S, T; it
+    suffices to scan S over submasks of U and ask for any present T with
+    U \\ S <= T <= U.
+    """
+    for u in missing_set:
+        for s in _submasks(u):
+            if s == u or s in missing_set:
+                continue
+            rest = u & ~s
+            for w in _submasks(s):
+                if (rest | w) not in missing_set:
+                    return False  # forced union: S | (rest|w) = u, both present
+    return True
 
 
 def frankl_witness(family: SetFamily) -> Optional[int]:
@@ -243,3 +270,43 @@ def family_from_json(obj: dict | str) -> SetFamily:
     if has_masks:
         return SetFamily.from_masks(n, obj["masks"])
     return SetFamily.from_sets(n, obj["sets"])
+
+
+# ---------------------------------------------------------------------------
+# reproducible random families
+
+_SM64_MASK = (1 << 64) - 1
+_SM64_GAMMA = 0x9E3779B97F4A7C15
+_SM64_MIX1 = 0xBF58476D1CE4E5B9
+_SM64_MIX2 = 0x94D049BB133111EB
+
+
+def _splitmix64_stream(seed: int) -> Iterator[int]:
+    """SplitMix64 (Steele-Lea-Flood 2014 constants): a 64-bit splittable
+    generator, fixed permanently so corpora reproduce byte for byte."""
+    state = seed & _SM64_MASK
+    while True:
+        state = (state + _SM64_GAMMA) & _SM64_MASK
+        z = state
+        z = ((z ^ (z >> 30)) * _SM64_MIX1) & _SM64_MASK
+        z = ((z ^ (z >> 27)) * _SM64_MIX2) & _SM64_MASK
+        yield z ^ (z >> 31)
+
+
+def random_union_closed(n: int, seed: int, density: Fraction | float | int | str) -> SetFamily:
+    """Union closure of a density-p random subset of all masks.
+
+    Deterministic in (n, seed, density): mask i is included iff the i-th
+    SplitMix64 draw u satisfies u/2^64 < density, compared in exact
+    rational arithmetic (no floats in the decision).
+    """
+    if not 1 <= n <= 16:
+        raise ValueError(f"ground size must be in [1, 16], got {n}")
+    d = Fraction(density)
+    if not 0 <= d <= 1:
+        raise ValueError(f"density must be in [0, 1], got {d}")
+    threshold = d.numerator << 64
+    den = d.denominator
+    stream = _splitmix64_stream(seed)
+    masks = [m for m, u in zip(range(1 << n), stream) if u * den < threshold]
+    return union_closure(SetFamily(n, tuple(masks)))

@@ -45,9 +45,9 @@ from functools import cached_property
 from math import comb, lcm
 from typing import Optional
 
+from .budget import NO_BUDGET, SearchBudget
 from .certificate import DualCertificate, bar_f, make_certificate
 from .families import popcount
-from .search import NO_BUDGET, SearchBudget
 
 RowKey = tuple
 

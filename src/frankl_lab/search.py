@@ -4,6 +4,10 @@ f(n,a) = maximum size of a union-closed family on [n] in which every
 element lies in at most a members.  g(n,m) = minimum, over union-closed
 families of exactly m sets on [n], of the most frequent element's count.
 
+This module holds only the engines and their result type, SearchResult.
+Run limits live in `budget`; family predicates and constructors (closure
+tests, frequency counts, seeded random families) live in `families`.
+
 Three engines:
 
   exhaustive   all 2^(2^n) subfamilies, n <= 4 only.  A single scan per n
@@ -47,30 +51,13 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from . import certificate as _certificate
-from .families import (SetFamily, is_union_closed, max_frequency, popcount,
-                       union_closure)
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Optional node and wall-clock limits; absent means unlimited."""
-
-    max_nodes: Optional[int] = None
-    max_seconds: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.max_nodes is not None and self.max_nodes <= 0:
-            raise ValueError("max_nodes must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError("max_seconds must be positive")
-
-
-NO_BUDGET = SearchBudget()
+from .budget import NO_BUDGET, SearchBudget
+from .certificate import bar_f
+from .families import (SetFamily, complement_is_union_closed, family_to_json,
+                       is_union_closed, max_frequency, popcount)
 
 
 class _Ticker:
@@ -101,9 +88,13 @@ class _Ticker:
 
 
 @dataclass(frozen=True)
-class FResult:
+class SearchResult:
+    """f(n,a) or g(n,m) with a witness.  `arg` is the fixed argument and
+    `arg_name` its JSON key: "a" for f, "m" for g."""
+
     n: int
-    a: int
+    arg_name: str
+    arg: int
     value: int
     witness: SetFamily
     proven_optimal: bool
@@ -113,32 +104,10 @@ class FResult:
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "a": self.a,
+            self.arg_name: self.arg,
             "value": self.value,
             "proven_optimal": self.proven_optimal,
-            "witness": {"n": self.witness.n, "masks": list(self.witness.masks)},
-            "nodes": self.nodes,
-            "seconds": self.seconds,
-        }
-
-
-@dataclass(frozen=True)
-class GResult:
-    n: int
-    m: int
-    value: int
-    witness: SetFamily
-    proven_optimal: bool
-    nodes: int
-    seconds: float
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "value": self.value,
-            "proven_optimal": self.proven_optimal,
-            "witness": {"n": self.witness.n, "masks": list(self.witness.masks)},
+            "witness": family_to_json(self.witness),
             "nodes": self.nodes,
             "seconds": self.seconds,
         }
@@ -465,18 +434,14 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> _Ticker:
 # branch and bound for f, n >= 5
 
 
-def _seed_incumbent_f(n: int, a: int) -> tuple[int, tuple[int, ...]]:
-    """Lower bound from the exhaustive n=4 table; any family on [4] is a
-    family on [n] for n >= 4 with unchanged frequencies."""
-    return _exhaustive_f(EXHAUSTIVE_MAX_N, min(a, 1 << EXHAUSTIVE_MAX_N))
-
-
-def _bb_f(n: int, a: int, budget: SearchBudget) -> FResult:
+def _bb_f(n: int, a: int, budget: SearchBudget) -> SearchResult:
     length = 1 << n
-    best_size, best_masks = _seed_incumbent_f(n, a)
+    # seed from the exhaustive n = 4 table: a family on [4] is a family on
+    # [n] with unchanged frequencies
+    best_size, best_masks = _exhaustive_f(EXHAUSTIVE_MAX_N, min(a, 1 << EXHAUSTIVE_MAX_N))
     # an improvement that meets the certified bound ends the search (the
     # n = 4 seed itself never meets it at n <= 11)
-    cert_cap = math.floor(_certificate.bar_f(n, a)) if n >= 7 and a >= 1 else None
+    cert_cap = math.floor(bar_f(n, a)) if n >= 7 and a >= 1 else None
 
     def visit(i, size, used, top, included):
         nonlocal best_size, best_masks
@@ -493,10 +458,11 @@ def _bb_f(n: int, a: int, budget: SearchBudget) -> FResult:
 
     tick = _depth_first(n, budget, visit)
     witness = SetFamily(n, best_masks)
-    return FResult(n, a, best_size, witness, not tick.exhausted, tick.nodes, tick.seconds)
+    return SearchResult(n, "a", a, best_size, witness, not tick.exhausted, tick.nodes,
+                        tick.seconds)
 
 
-def compute_f(n: int, a: int, budget: SearchBudget = NO_BUDGET) -> FResult:
+def compute_f(n: int, a: int, budget: SearchBudget = NO_BUDGET) -> SearchResult:
     """Exact f(n,a) with witness; proven_optimal is False only on budget stop.
 
     a = 0 is accepted (the only admissible members are none or the empty
@@ -509,68 +475,28 @@ def compute_f(n: int, a: int, budget: SearchBudget = NO_BUDGET) -> FResult:
     t0 = time.perf_counter()
     if a >= 1 << (n - 1):
         # the full power set is feasible and no family can be larger
-        return FResult(n, a, 1 << n, SetFamily.power_set(n), True, 1,
-                       time.perf_counter() - t0)
+        return SearchResult(n, "a", a, 1 << n, SetFamily.power_set(n), True, 1,
+                            time.perf_counter() - t0)
     if n <= EXHAUSTIVE_MAX_N:
         value, masks = _exhaustive_f(n, a)
-        witness = SetFamily(n, masks)
-        nodes = 1 << (1 << n)
-        return FResult(n, a, value, witness, True, nodes, time.perf_counter() - t0)
+        return SearchResult(n, "a", a, value, SetFamily(n, masks), True, 1 << (1 << n),
+                            time.perf_counter() - t0)
     result = _bb_f(n, a, budget)
-    _validate_f_witness(result, a)
+    _validate_f_witness(result)
     return result
 
 
-def _validate_f_witness(result: FResult, a: int) -> None:
+def _validate_f_witness(result: SearchResult) -> None:
     w = result.witness
-    if len(w) != result.value or not is_union_closed(w) or max_frequency(w).count > a:
-        raise AssertionError(f"search produced an invalid witness for f({result.n},{a})")
+    if len(w) != result.value or not is_union_closed(w) or max_frequency(w).count > result.arg:
+        raise AssertionError(f"search produced an invalid witness for f({result.n},{result.arg})")
 
 
 # ---------------------------------------------------------------------------
 # g(n, m)
 
 
-def _cover_counts(n: int, missing: tuple[int, ...]) -> list[int]:
-    cover = [0] * n
-    for u in missing:
-        m = u
-        while m:
-            low = m & -m
-            cover[low.bit_length() - 1] += 1
-            m ^= low
-    return cover
-
-
-def _submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, including 0 and mask itself."""
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
-
-
-def _complement_is_union_closed(n: int, missing_set: frozenset[int]) -> bool:
-    """Is 2^[n] minus the given masks union-closed?
-
-    Fails iff some missing mask U equals S | T for present S, T; it
-    suffices to scan S over submasks of U and ask for any present T with
-    U \\ S <= T <= U.
-    """
-    for u in missing_set:
-        for s in _submasks(u):
-            if s == u or s in missing_set:
-                continue
-            rest = u & ~s
-            for w in _submasks(s):
-                if (rest | w) not in missing_set:
-                    return False  # forced union: S | (rest|w) = u, both present
-    return True
-
-
-def _g_by_complement(n: int, m: int, budget: SearchBudget) -> GResult:
+def _g_by_complement(n: int, m: int, budget: SearchBudget) -> SearchResult:
     """Choose the k = 2^n - m missing masks directly (k <= n).
 
     Depth-first over the masks in ascending (popcount, value) order.  A
@@ -583,29 +509,30 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> GResult:
     k = full - m
     half = 1 << (n - 1)
     order = sorted(range(full), key=lambda x: (popcount(x), x))
-    sizes = [popcount(u) for u in order]
-    below = [[u ^ (1 << e) for e in range(n) if u >> e & 1] for u in order]  # (|U|-1)-subsets
+    elems = [[e for e in range(n) if u >> e & 1] for u in order]
+    below = [[u ^ (1 << e) for e in es] for u, es in zip(order, elems)]  # (|U|-1)-subsets
     tick = _Ticker(budget)
     best_value: Optional[int] = None
     best_missing: tuple[int, ...] = ()
     missing: list[int] = []
     mset: set[int] = set()
+    cover = [0] * n  # cover[e]: the missing masks that contain e
 
     def rec(start: int) -> None:
         nonlocal best_value, best_missing
         if len(missing) == k:
-            if not tick.tick() or not _complement_is_union_closed(n, frozenset(mset)):
+            if not tick.tick() or not complement_is_union_closed(n, frozenset(mset)):
                 return
-            value = half - min(_cover_counts(n, tuple(missing)))
             # among equal values the lexicographically smallest family is
             # the one whose sorted missing tuple is largest
             key = tuple(sorted(missing))
+            value = half - min(cover)
             if (best_value is None or value < best_value
                     or (value == best_value and key > best_missing)):
                 best_value, best_missing = value, key
             return
         for j in range(start, full - (k - len(missing)) + 1):
-            size = sizes[j]
+            size = len(elems[j])
             # keeping U's (|U|-1)-subsets to at most one present takes
             # |U| - 1 of them missing; sizes only grow from here
             if size - 1 > len(missing) or tick.exhausted:
@@ -615,7 +542,11 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> GResult:
             u = order[j]
             missing.append(u)
             mset.add(u)
+            for e in elems[j]:
+                cover[e] += 1
             rec(j + 1)
+            for e in elems[j]:
+                cover[e] -= 1
             mset.discard(u)
             missing.pop()
 
@@ -624,7 +555,8 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> GResult:
     if best_value is None:
         raise AssertionError(f"no union-closed family of size {m} on [{n}]")
     witness = SetFamily(n, tuple(x for x in range(full) if x not in best_missing))
-    return GResult(n, m, best_value, witness, not tick.exhausted, tick.nodes, tick.seconds)
+    return SearchResult(n, "m", m, best_value, witness, not tick.exhausted, tick.nodes,
+                        tick.seconds)
 
 
 def _top_slice_family(n: int, m: int) -> tuple[int, ...]:
@@ -636,7 +568,7 @@ def _top_slice_family(n: int, m: int) -> tuple[int, ...]:
     return tuple(x for x in range(1 << n) if x not in dropped)
 
 
-def _bb_g(n: int, m: int, budget: SearchBudget) -> GResult:
+def _bb_g(n: int, m: int, budget: SearchBudget) -> SearchResult:
     length = 1 << n
     best_masks = _top_slice_family(n, m)
     best_value = max_frequency(SetFamily(n, best_masks)).count
@@ -657,10 +589,11 @@ def _bb_g(n: int, m: int, budget: SearchBudget) -> GResult:
 
     tick = _depth_first(n, budget, visit)
     witness = SetFamily(n, best_masks)
-    return GResult(n, m, best_value, witness, not tick.exhausted, tick.nodes, tick.seconds)
+    return SearchResult(n, "m", m, best_value, witness, not tick.exhausted, tick.nodes,
+                        tick.seconds)
 
 
-def compute_g(n: int, m: int, budget: SearchBudget = NO_BUDGET) -> GResult:
+def compute_g(n: int, m: int, budget: SearchBudget = NO_BUDGET) -> SearchResult:
     """Exact g(n,m) with witness.
 
     Union-closed families of every size 1 <= m <= 2^n exist (peel
@@ -677,57 +610,16 @@ def compute_g(n: int, m: int, budget: SearchBudget = NO_BUDGET) -> GResult:
     elif n <= EXHAUSTIVE_MAX_N:
         _, by_size = _exhaustive_tables(n)
         value, masks = by_size[m]
-        nodes = 1 << (1 << n)
-        result = GResult(n, m, value, SetFamily(n, masks), True, nodes,
-                         time.perf_counter() - t0)
+        result = SearchResult(n, "m", m, value, SetFamily(n, masks), True, 1 << (1 << n),
+                              time.perf_counter() - t0)
     else:
         result = _bb_g(n, m, budget)
     _validate_g_witness(result)
     return result
 
 
-def _validate_g_witness(result: GResult) -> None:
+def _validate_g_witness(result: SearchResult) -> None:
     w = result.witness
-    if (len(w) != result.m or not is_union_closed(w)
+    if (len(w) != result.arg or not is_union_closed(w)
             or max_frequency(w).count != result.value):
-        raise AssertionError(f"search produced an invalid witness for g({result.n},{result.m})")
-
-
-# ---------------------------------------------------------------------------
-# reproducible random families
-
-_SM64_MASK = (1 << 64) - 1
-_SM64_GAMMA = 0x9E3779B97F4A7C15
-_SM64_MIX1 = 0xBF58476D1CE4E5B9
-_SM64_MIX2 = 0x94D049BB133111EB
-
-
-def _splitmix64_stream(seed: int) -> Iterator[int]:
-    """SplitMix64 (Steele-Lea-Flood 2014 constants): a 64-bit splittable
-    generator, fixed permanently so corpora reproduce byte for byte."""
-    state = seed & _SM64_MASK
-    while True:
-        state = (state + _SM64_GAMMA) & _SM64_MASK
-        z = state
-        z = ((z ^ (z >> 30)) * _SM64_MIX1) & _SM64_MASK
-        z = ((z ^ (z >> 27)) * _SM64_MIX2) & _SM64_MASK
-        yield z ^ (z >> 31)
-
-
-def random_union_closed(n: int, seed: int, density: Fraction | float | int | str) -> SetFamily:
-    """Union closure of a density-p random subset of all masks.
-
-    Deterministic in (n, seed, density): mask i is included iff the i-th
-    SplitMix64 draw u satisfies u/2^64 < density, compared in exact
-    rational arithmetic (no floats in the decision).
-    """
-    if not 1 <= n <= 16:
-        raise ValueError(f"ground size must be in [1, 16], got {n}")
-    d = Fraction(density)
-    if not 0 <= d <= 1:
-        raise ValueError(f"density must be in [0, 1], got {d}")
-    threshold = d.numerator << 64
-    den = d.denominator
-    stream = _splitmix64_stream(seed)
-    masks = [m for m, u in zip(range(1 << n), stream) if u * den < threshold]
-    return union_closure(SetFamily(n, tuple(masks)))
+        raise AssertionError(f"search produced an invalid witness for g({result.n},{result.arg})")

@@ -31,12 +31,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .families import (SetFamily, complement, frequencies, is_union_closed,
-                       max_frequency, popcount)
+from .budget import NO_BUDGET, SearchBudget
+from .families import (SetFamily, complement, complement_is_union_closed,
+                       frequencies, is_union_closed, max_frequency, popcount,
+                       random_union_closed)
 from .reports import VerificationReport, report
-from .search import (EXHAUSTIVE_MAX_N, NO_BUDGET, SearchBudget,
-                     _complement_is_union_closed, compute_f, compute_g,
-                     enumerate_union_closed, random_union_closed)
+from .search import (EXHAUSTIVE_MAX_N, compute_f, compute_g,
+                     enumerate_union_closed)
 
 
 def _require_union_closed(family: SetFamily) -> None:
@@ -124,7 +125,7 @@ def powerset_minus_singletons(n: int) -> SetFamily:
     family = SetFamily(n, masks)
     if len(family) != (1 << n) - n:
         raise AssertionError("construction size is off")
-    if not _complement_is_union_closed(n, singletons):
+    if not complement_is_union_closed(n, singletons):
         raise AssertionError("construction is not union-closed")
     want = (1 << (n - 1)) - 1
     if any(c != want for c in frequencies(family).counts):
@@ -290,33 +291,36 @@ LEMMA_CHECKS = {"missing-subsets": check_missing_subsets,
                 "missing-covering": check_missing_covering}
 
 
+# the keywords each claim takes to narrow its default scope
+_CLAIM_KEYWORDS = {"missing-subsets": ("ns", "count", "base_seed"),
+                   "missing-covering": ("ns", "count", "base_seed"),
+                   "thm-g": ("ns", "budget"), "thm-f-2n-minus-n": ("ns", "budget"),
+                   "monotonicity": ("caps", "n_max", "budget"), "fg-duality": ("ns",)}
+CLAIMS = tuple(_CLAIM_KEYWORDS)
+
+
 def run_claim(claim: str, **kwargs) -> VerificationReport:
-    """Run one registered claim with its default scope (see CLAIMS)."""
+    """Run one registered claim with its default scope, narrowed by the
+    keywords the claim takes; any other keyword raises ValueError."""
+    if claim not in _CLAIM_KEYWORDS:
+        raise ValueError(f"unknown claim {claim!r}")
+    extra = sorted(set(kwargs) - set(_CLAIM_KEYWORDS[claim]))
+    if extra:
+        raise ValueError(f"claim {claim!r} does not take {', '.join(extra)} "
+                         f"(it takes {', '.join(_CLAIM_KEYWORDS[claim])})")
     if claim in LEMMA_CHECKS:
         return run_lemma_claim([(claim, LEMMA_CHECKS[claim])], **kwargs)[0]
+    budget = kwargs.get("budget", NO_BUDGET)
     if claim == "thm-g":
-        ns = kwargs.get("ns", (3, 4, 5))
-        reports = [verify_g_theorem(n, kwargs.get("budget", NO_BUDGET)) for n in ns]
-        return _merge_reports("thm-g", reports)
-    if claim == "thm-f-2n-minus-n":
-        ns = kwargs.get("ns", (1, 2, 3, 4))
-        reports = [verify_f_theorem(n, kwargs.get("budget", NO_BUDGET)) for n in ns]
-        return _merge_reports("thm-f-2n-minus-n", reports)
-    if claim == "monotonicity":
-        caps = kwargs.get("caps", (1, 2, 3))
+        reports = [verify_g_theorem(n, budget) for n in kwargs.get("ns", (3, 4, 5))]
+    elif claim == "thm-f-2n-minus-n":
+        reports = [verify_f_theorem(n, budget) for n in kwargs.get("ns", (1, 2, 3, 4))]
+    elif claim == "monotonicity":
         n_max = kwargs.get("n_max", 5)
-        reports = [verify_monotonicity(a, n_max, kwargs.get("budget", NO_BUDGET))
-                   for a in caps]
-        return _merge_reports("monotonicity", reports)
-    if claim == "fg-duality":
-        ns = kwargs.get("ns", (3, 4))
-        reports = [check_fg_duality(n, 1 << n) for n in ns]
-        return _merge_reports("fg-duality", reports)
-    raise ValueError(f"unknown claim {claim!r}")
-
-
-CLAIMS = ("missing-subsets", "missing-covering", "thm-g", "thm-f-2n-minus-n",
-          "monotonicity", "fg-duality")
+        reports = [verify_monotonicity(a, n_max, budget) for a in kwargs.get("caps", (1, 2, 3))]
+    else:  # fg-duality
+        reports = [check_fg_duality(n, 1 << n) for n in kwargs.get("ns", (3, 4))]
+    return _merge_reports(claim, reports)
 
 
 def _merge_reports(claim: str, reports: list[VerificationReport]) -> VerificationReport:

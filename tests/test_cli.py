@@ -97,6 +97,39 @@ def test_verify_violation_exit_code(capsys, monkeypatch):
     assert code == 3
 
 
+def test_verify_zero_budget_is_refused(capsys):
+    code, _, err = run_cli(capsys, "verify", "--claim", "thm-g", "--n", "3", "--max-nodes", "0")
+    assert code == 1
+    assert err == "frankl-lab: error: max_nodes must be positive\n"
+
+
+def test_verify_budget_on_a_lemma_claim_is_refused(capsys):
+    code, _, err = run_cli(capsys, "verify", "--claim", "missing-subsets", "--max-nodes", "5")
+    assert code == 1
+    assert err.startswith("frankl-lab: error: ") and err.count("\n") == 1 and "budget" in err
+
+
+def test_verify_all_takes_no_scope_flag(capsys):
+    code, _, err = run_cli(capsys, "verify", "--claim", "all", "--n", "3", "--max-nodes", "5")
+    assert code == 1
+    assert err.count("\n") == 1 and "--claim all" in err
+
+
+def test_verify_n_on_monotonicity_is_refused(capsys):
+    code, _, err = run_cli(capsys, "verify", "--claim", "monotonicity", "--n", "3")
+    assert code == 1
+    assert err.count("\n") == 1 and "'monotonicity' does not take ns" in err
+
+
+def test_verify_count_and_seed_outside_the_lemmas_are_refused(capsys):
+    code, _, err = run_cli(capsys, "verify", "--claim", "thm-g", "--count", "5")
+    assert code == 1
+    assert err.count("\n") == 1 and "'thm-g' does not take count" in err
+    code, _, err = run_cli(capsys, "verify", "--claim", "fg-duality", "--seed", "3")
+    assert code == 1
+    assert err.count("\n") == 1 and "'fg-duality' does not take base_seed" in err
+
+
 def test_witness_revalidates(capsys):
     code, out, _ = run_cli(capsys, "witness", "--n", "4", "--a", "4")
     assert code == 0

@@ -1,0 +1,46 @@
+"""The package's internal import graph, read from the source.
+
+Importing any submodule runs `frankl_lab/__init__.py`, which imports every
+module, so the graph is checked statically with `ast`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "frankl_lab"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+# modules every other layer may build on: they import nothing from the package
+LEAVES = ("families", "budget", "reports", "certificate")
+
+
+def relative_imports(module: str) -> list[tuple[str, str]]:
+    """(source module, imported name) for every relative import in `module`;
+    `from . import x` yields (x, x)."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found += [(node.module or alias.name, alias.name) for alias in node.names]
+    return found
+
+
+def test_the_graph_sees_every_module():
+    assert {"__init__", "lp", "search", "theorems", *LEAVES} <= set(MODULES)
+
+
+def test_lp_does_not_import_the_search_engine():
+    assert "search" not in {source for source, _ in relative_imports("lp")}
+
+
+@pytest.mark.parametrize("module", LEAVES)
+def test_leaf_modules_import_nothing_from_the_package(module):
+    assert relative_imports(module) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_a_private_name(module):
+    private = [(source, name) for source, name in relative_imports(module)
+               if name.startswith("_") or source.startswith("_")]
+    assert private == []

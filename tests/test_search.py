@@ -228,6 +228,17 @@ def test_f_result_json_schema():
     assert blob["witness"] == {"n": 2, "masks": [0, 1]}
     assert blob["nodes"] == 1 << 4  # one full scan of the 2^(2^2) subfamilies
     assert "seconds" in blob
+    assert "m" not in blob
+
+
+def test_g_result_json_schema():
+    blob = compute_g(3, 6).to_json()
+    assert blob["n"] == 3 and blob["m"] == 6 and blob["value"] == 4
+    assert "a" not in blob
+    assert blob["proven_optimal"] is True
+    assert blob["witness"] == {"n": 3, "masks": [0, 1, 2, 3, 5, 7]}
+    assert blob["nodes"] == 12  # complement candidates, not subfamilies
+    assert set(blob) == {"n", "m", "value", "proven_optimal", "witness", "nodes", "seconds"}
 
 
 # --- compute_g ----------------------------------------------------------------
