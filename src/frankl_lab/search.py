@@ -267,6 +267,12 @@ class _IsomorphRejector:
     The leaves are relabellings that respect the first refined classes,
     so when those admit more than _RELABEL_CAP relabellings the boundary
     is not canonicalised at all.
+
+    A member's colour profile, the multiset of its elements' colours, is
+    one integer, the sum of 1 << 4*colour[e] over its elements.  Colours
+    are ranks below n and a colour occurs at most n times in a member, so
+    the 4-bit digits never carry while n <= _BB_MAX_N = 11 < 16: equal
+    profiles are exactly equal multisets.
     """
 
     __slots__ = ("n", "elems", "boundary", "seen")
@@ -296,51 +302,68 @@ class _IsomorphRejector:
         """Least sorted image of the family over the leaves of an
         individualise-and-refine search, or None when the refined element
         classes admit more than _RELABEL_CAP relabellings."""
-        n, elems = self.n, self.elems
-        colour = self._refine(masks, [0] * n)
-        sizes = [colour.count(c) for c in range(max(colour) + 1)]
-        if math.prod(math.factorial(s) for s in sizes) > _RELABEL_CAP:
+        n = self.n
+        members = [self.elems[mask] for mask in masks]
+        colour, count = self._refine(members, [0] * n, 1)
+        sizes = [0] * count
+        for c in colour:
+            sizes[c] += 1
+        if math.prod([math.factorial(s) for s in sizes]) > _RELABEL_CAP:
             return None
         twin = self._twins(masks, colour)
         best: Optional[list[int]] = None
-        stack = [colour]
+        stack = [(colour, count)]
         while stack:
-            colour = stack.pop()
-            cell = next((c for c in sorted(colour) if colour.count(c) > 1), None)
-            if cell is None:  # discrete: colour[e] is the new label of e
-                image = sorted([sum([1 << colour[e] for e in elems[mask]]) for mask in masks])
+            colour, count = stack.pop()
+            if count == n:  # discrete: colour[e] is the new label of e
+                bit = [1 << c for c in colour]
+                image = sorted([sum(map(bit.__getitem__, es)) for es in members])
                 if best is None or image < best:
                     best = image
                 continue
+            sizes = [0] * count
+            for c in colour:
+                sizes[c] += 1
+            cell = next(c for c in range(count) if sizes[c] > 1)
             # individualise each element of the first non-singleton cell,
-            # one per twin class: swapping twins maps one subtree onto the other
+            # one per twin class: swapping twins maps one subtree onto the
+            # other.  e keeps colour `cell`, its cell-mates move up by one.
             tried = set()
             for e in range(n):
                 if colour[e] == cell and twin[e] not in tried:
                     tried.add(twin[e])
-                    split = [2 * c + (c == cell and x != e) for x, c in enumerate(colour)]
-                    stack.append(self._refine(masks, split))
+                    split = [c + (c > cell or (c == cell and x != e))
+                             for x, c in enumerate(colour)]
+                    stack.append(self._refine(members, split, count + 1))
         return tuple(best)
 
-    def _refine(self, masks: list[int], colour: list[int]) -> list[int]:
+    def _refine(self, members: list[tuple[int, ...]], colour: list[int],
+                count: int) -> tuple[list[int], int]:
         """Colour refinement: split the element classes by the multiset of
         colour profiles of the members containing each element, until no
-        class splits.  Colours come back as ranks 0.. of their signatures,
-        so relabelling the input relabels the output the same way."""
-        elems = self.elems
-        count = len(set(colour))
+        class splits.  `colour` holds ranks 0..count-1; so does the result,
+        returned with its class count, and relabelling the input relabels
+        the output the same way."""
+        n = self.n
         while True:
-            profiles: list[list[tuple[int, ...]]] = [[] for _ in colour]
-            for mask in masks:
-                profile = tuple(sorted([colour[e] for e in elems[mask]]))
-                for e in elems[mask]:
-                    profiles[e].append(profile)
-            signature = [(c, tuple(sorted(p))) for c, p in zip(colour, profiles)]
-            rank = {s: r for r, s in enumerate(sorted(set(signature)))}
-            colour = [rank[s] for s in signature]
-            if len(rank) == count or len(rank) == self.n:
-                return colour
-            count = len(rank)
+            weight = [1 << (c << 2) for c in colour]
+            signature: list[list[int]] = [[] for _ in colour]
+            for es in members:
+                profile = sum(map(weight.__getitem__, es))
+                for e in es:
+                    signature[e].append(profile)
+            for c, s in zip(colour, signature):
+                s.sort()
+                s.append(c)  # keep the old colour: the new classes refine the old
+            keys = [tuple(s) for s in signature]
+            ranked = sorted(set(keys))
+            if len(ranked) == count:
+                return colour, count
+            rank = {k: r for r, k in enumerate(ranked)}
+            colour = [rank[k] for k in keys]
+            count = len(ranked)
+            if count == n:
+                return colour, count
 
     def _twins(self, masks: list[int], colour: list[int]) -> list[int]:
         """twin[e]: the least element whose transposition with e maps the

@@ -49,9 +49,21 @@ def check_missing_subsets(family: SetFamily) -> VerificationReport:
     """For every non-member S with |S| >= 2, count members one element
     below it; more than one is a violation."""
     _require_union_closed(family)
+    return _missing_subsets(family, complement(family).masks)
+
+
+def check_missing_covering(family: SetFamily) -> VerificationReport:
+    """Compare the number of missing sets with the size of their union."""
+    _require_union_closed(family)
+    return _missing_covering(family, complement(family).masks)
+
+
+def _missing_subsets(family: SetFamily, missing: tuple[int, ...]) -> VerificationReport:
+    """check_missing_subsets on a family already known to be union-closed,
+    given its missing masks."""
     bits = family.member_bits
     violations = []
-    for s in complement(family).masks:
+    for s in missing:
         if popcount(s) < 2:
             continue
         count = 0
@@ -67,10 +79,9 @@ def check_missing_subsets(family: SetFamily) -> VerificationReport:
     return report("missing-subsets", scope, violations)
 
 
-def check_missing_covering(family: SetFamily) -> VerificationReport:
-    """Compare the number of missing sets with the size of their union."""
-    _require_union_closed(family)
-    missing = complement(family).masks
+def _missing_covering(family: SetFamily, missing: tuple[int, ...]) -> VerificationReport:
+    """check_missing_covering on a family already known to be union-closed,
+    given its missing masks."""
     union = 0
     for s in missing:
         union |= s
@@ -268,17 +279,26 @@ def run_lemma_claim(checks, ns=LEMMA_RANDOM_NS,
     """Exhaustive n <= 4 plus seeded random closures, in one pass.
 
     `checks` is a sequence of (claim, check) pairs; every family of the
-    corpus is built once and handed to each check in turn.  Returns one
-    report per pair, in the given order.
+    corpus is built once and handed to each check in turn.  For the two
+    lemma checks the family's closure is tested and its complement built
+    once, not once per check.  Returns one report per pair, in the given
+    order.  A negative `count` raises ValueError.
     """
+    if count < 0:
+        raise ValueError(f"random family count must be >= 0, got {count}")
+    on_missing = [_ON_MISSING.get(check) for _, check in checks]
     violations: list[list] = [[] for _ in checks]
     families_checked = 0
     corpus = chain(((n, family) for n in range(1, 5) for family in enumerate_union_closed(n)),
                    ((n, family) for n in ns for family in random_closures(n, count, base_seed)))
     for n, family in corpus:
-        for found, (_, check) in zip(violations, checks):
+        if any(on_missing):
+            _require_union_closed(family)
+            missing = complement(family).masks
+        for found, (_, check), lemma in zip(violations, checks, on_missing):
+            result = lemma(family, missing) if lemma else check(family)
             found.extend({"n": n, "family": list(family.masks), **v}
-                         for v in check(family).violations)
+                         for v in result.violations)
         families_checked += 1
     scope = {"exhaustive_n": [1, 2, 3, 4], "random_ns": list(ns),
              "random_count": count, "base_seed": base_seed,
@@ -289,6 +309,9 @@ def run_lemma_claim(checks, ns=LEMMA_RANDOM_NS,
 
 LEMMA_CHECKS = {"missing-subsets": check_missing_subsets,
                 "missing-covering": check_missing_covering}
+# each lemma check without its own closure test and complement
+_ON_MISSING = {check_missing_subsets: _missing_subsets,
+               check_missing_covering: _missing_covering}
 
 
 # the keywords each claim takes to narrow its default scope

@@ -130,6 +130,14 @@ def test_verify_count_and_seed_outside_the_lemmas_are_refused(capsys):
     assert err.count("\n") == 1 and "'fg-duality' does not take base_seed" in err
 
 
+def test_verify_negative_count_is_refused(capsys):
+    code, out, err = run_cli(capsys, "verify", "--claim", "missing-subsets", "--n", "5",
+                             "--count", "-3")
+    assert code == 1
+    assert out == ""
+    assert err == "frankl-lab: error: random family count must be >= 0, got -3\n"
+
+
 def test_witness_revalidates(capsys):
     code, out, _ = run_cli(capsys, "witness", "--n", "4", "--a", "4")
     assert code == 0

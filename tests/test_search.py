@@ -159,11 +159,15 @@ def test_branch_and_bound_path_is_pinned(kind, n, k, budget, value, nodes, prove
 
 
 @pytest.mark.stretch
-@pytest.mark.parametrize("a,expected", [(4, 8), (5, 9), (6, 10), (7, 12)])
-def test_f_at_n7(a, expected):
+@pytest.mark.parametrize("a,expected,nodes", [(4, 8, 47_858), (5, 9, 122_250),
+                                              (6, 10, 327_844), (7, 12, 852_381)])
+def test_f_at_n7(a, expected, nodes):
+    # at n = 7 the refined classes can admit exactly _RELABEL_CAP = 7!
+    # relabellings, so the node counts pin the isomorph cuts at the cap
     result = compute_f(7, a)
     assert result.value == expected
     assert result.proven_optimal
+    assert result.nodes == nodes
 
 
 def test_f_n5_table_against_frozen_values():
@@ -176,8 +180,9 @@ def test_f_n5_table_against_frozen_values():
 
 
 def test_f_respects_certificate_cap():
-    # B&B at n=7 terminates early once the certified bound is met; with
-    # a=1 the bound is far from tight, so this just checks consistency
+    # the certificate stop never fires in the B&B range (f(7,a) for a <= 7
+    # stays at its n = 4 seed, below floor(fbar(7,a))); this only checks
+    # that the result is consistent with the certified bound
     result = compute_f(7, 1)
     assert result.value == 2
     assert result.proven_optimal
@@ -362,7 +367,14 @@ def _regular_families_n7(rng):
     return families + [_relabel(7, fam, rng.sample(range(7), 7)) for fam in families]
 
 
-@pytest.mark.parametrize("n,make", [(5, _random_families_n5), (7, _regular_families_n7)])
+def _random_families_n6(rng):
+    # n = 6 is the size of the flagship f(6,6) search
+    densities = (Fraction(1, 32), Fraction(1, 16), Fraction(1, 8))
+    return [list(random_union_closed(6, seed, densities[seed % 3]).masks) for seed in range(30)]
+
+
+@pytest.mark.parametrize("n,make", [(5, _random_families_n5), (6, _random_families_n6),
+                                    (7, _regular_families_n7)])
 def test_isomorph_canonical_form_is_a_complete_invariant(n, make):
     from frankl_lab.search import _IsomorphRejector, _branch_order
     rejector = _IsomorphRejector(n, _branch_order(n))
@@ -376,6 +388,23 @@ def test_isomorph_canonical_form_is_a_complete_invariant(n, make):
     # one form per isomorphism class, and distinct classes get distinct forms
     assert all(len(f) == 1 for f in forms.values())
     assert len({f for fs in forms.values() for f in fs}) == len(forms)
+
+
+def test_isomorph_canonical_form_is_none_over_the_relabelling_cap():
+    from frankl_lab.search import _RELABEL_CAP, _IsomorphRejector, _branch_order
+    n = 8
+    assert math.factorial(n) > _RELABEL_CAP
+    rejector = _IsomorphRejector(n, _branch_order(n))
+    rng = random.Random(n)
+    # refinement leaves all eight elements in one class: 8! relabellings
+    for masks in (list(range(1 << n)), _cycle_edges(tuple(range(n)))):
+        assert rejector._canonical_form(masks) is None
+        assert rejector._canonical_form(_relabel(n, masks, rng.sample(range(n), n))) is None
+    # the path 0-1-...-7 refines to the classes {0,7}, {1,6}, {2,5}, {3,4}
+    path = [(1 << e) | (1 << (e + 1)) for e in range(n - 1)]
+    form = rejector._canonical_form(path)
+    assert form is not None
+    assert rejector._canonical_form(_relabel(n, path, rng.sample(range(n), n))) == form
 
 
 def test_g_argument_validation():
