@@ -1,10 +1,10 @@
 """Batch command-line interface.
 
 Commands: f, g, lp, bound, certify, verify, table, witness, check.
-Output goes to stdout (text by default, --format json/csv), diagnostics
-to stderr.  Exit codes: 0 success, 1 invalid arguments, 2 budget
-exhausted with partial output, 3 verification violation (a theorem
-contradiction, i.e. a bug).
+Output goes to stdout (text by default, --format json; table also takes
+--format csv), diagnostics to stderr.  Exit codes: 0 success, 1 invalid
+arguments, 2 budget exhausted with partial output, 3 verification
+violation (a theorem contradiction, i.e. a bug).
 
 Identical invocations print byte-identical JSON when --stable is given:
 the flag drops the wall-clock sidecar fields ("seconds"), which are the
@@ -200,6 +200,8 @@ def _cmd_verify(args) -> int:
 def _cmd_table(args) -> int:
     lo, hi = args.start, args.stop
     if args.what == "bound":
+        if args.max_nodes is not None or args.max_seconds is not None:
+            raise ValueError("--what bound evaluates a closed form and takes no budget")
         lo, hi = lo or 7, hi or 16
         table = bound_table(lo, hi)
         rows = table.rows
@@ -268,8 +270,8 @@ def _cmd_check(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VIOLATION
 
 
-def _add_common(parser, budget=True, seed=False):
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+def _add_common(parser, budget=True, seed=False, formats=("text", "json")):
+    parser.add_argument("--format", choices=formats, default="text")
     parser.add_argument("--stable", action="store_true",
                         help="omit wall-clock fields so identical runs emit identical bytes")
     if budget:
@@ -329,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", required=True, choices=("f-aa", "bound", "fr"))
     p.add_argument("--from", dest="start", type=int, default=None)
     p.add_argument("--to", dest="stop", type=int, default=None)
-    _add_common(p)
+    _add_common(p, formats=("text", "json", "csv"))
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("witness", help="emit an extremal family as JSON")

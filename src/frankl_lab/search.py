@@ -47,9 +47,7 @@ strictly better family).  All are deterministic run to run.
 from __future__ import annotations
 
 import math
-import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -221,7 +219,7 @@ def _exhaustive_f(n: int, a: int) -> tuple[int, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # the depth-first kernel
 
-_BB_MAX_N = 11  # recursion depth is 2^n + O(1)
+_BB_MAX_N = 11  # the 4-bit colour-profile digits of _IsomorphRejector need n < 16
 # Relabellings a canonical form may try.  7! admits every boundary at
 # n <= 7; a boundary over the cap is not canonicalised, which is sound.
 _RELABEL_CAP = 5040
@@ -231,18 +229,6 @@ def _branch_order(n: int) -> list[int]:
     """Masks by descending popcount, then ascending value; the empty set
     lands last, and S|T of two incomparable masks precedes both."""
     return sorted(range(1 << n), key=lambda m: (-popcount(m), m))
-
-
-@contextmanager
-def _recursion_depth(depth: int) -> Iterator[None]:
-    """Raise the interpreter's recursion limit to fit `depth` nested
-    calls for the duration of a search, then restore it."""
-    previous = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(previous, depth + 1000))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(previous)
 
 
 class _IsomorphRejector:
@@ -401,6 +387,12 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> _Ticker:
     where an isomorph was seen (see _IsomorphRejector).  That cut is sound
     only because visit's return value depends on `included` only up to a
     relabelling of [n], and any incumbent it keeps only improves.
+
+    The nodes wait on an explicit stack of frames (i, size, used, top), so
+    a path of 2^n + 1 nodes needs no raised recursion limit.  Expanding a
+    node pushes its exclude frame, a None marker that undoes the include,
+    then its include frame.  Once the budget has run out, each frame left
+    is still counted, then dropped.
     Returns the ticker: node count, seconds, and whether the budget ran out.
     """
     if n > _BB_MAX_N:
@@ -413,43 +405,43 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> _Ticker:
     freq = [0] * n
     included: list[int] = []
     inc_bits = 0
-
-    def rec(i: int, size: int, used: int, top: int) -> None:
-        nonlocal inc_bits
-        if not tick.tick():
-            return
-        cap = visit(i, size, used, top, included)
-        if cap is None or (boundary[i] and iso.repeated(i, included)):
-            return
-        mask, es = order[i], elems[i]
-        feasible = top < cap or all(freq[e] < cap for e in es)  # top bounds every freq[e]
-        if feasible:
-            for t in included:
-                u = mask | t
-                if u != t and not (inc_bits >> u) & 1:
-                    feasible = False
-                    break
-        if feasible:
-            new_top = top
-            for e in es:
-                freq[e] += 1
-                if freq[e] > new_top:
-                    new_top = freq[e]
-            included.append(mask)
-            inc_bits |= 1 << mask
-            rec(i + 1, size + 1, used + len(es), new_top)
-            inc_bits &= ~(1 << mask)
-            included.pop()
-            for e in es:
-                freq[e] -= 1
-        rec(i + 1, size, used, top)
-
-    with _recursion_depth(len(order)):
-        try:
-            rec(0, 0, 0, 0)
-        except _Halt:
-            pass
-    del rec  # the closure refers to itself: free it and its search state now, not at a GC pass
+    stack: list[Optional[tuple[int, int, int, int]]] = [(0, 0, 0, 0)]
+    try:
+        while stack:
+            frame = stack.pop()
+            if frame is None:
+                mask = included.pop()
+                inc_bits ^= 1 << mask
+                for e in iso.elems[mask]:
+                    freq[e] -= 1
+                continue
+            i, size, used, top = frame
+            if not tick.tick():
+                continue
+            cap = visit(i, size, used, top, included)
+            if cap is None or (boundary[i] and iso.repeated(i, included)):
+                continue
+            stack.append((i + 1, size, used, top))
+            mask, es = order[i], elems[i]
+            feasible = top < cap or all(freq[e] < cap for e in es)  # top bounds every freq[e]
+            if feasible:
+                for t in included:
+                    u = mask | t
+                    if u != t and not (inc_bits >> u) & 1:
+                        feasible = False
+                        break
+            if feasible:
+                new_top = top
+                for e in es:
+                    freq[e] += 1
+                    if freq[e] > new_top:
+                        new_top = freq[e]
+                included.append(mask)
+                inc_bits |= 1 << mask
+                stack.append(None)
+                stack.append((i + 1, size + 1, used + len(es), new_top))
+    except _Halt:
+        pass
     return tick
 
 
@@ -574,7 +566,7 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> SearchResult:
             missing.pop()
 
     rec(0)
-    del rec  # as in _depth_first: break the closure's reference to itself
+    del rec  # the closure refers to itself: free it and its search state now, not at a GC pass
     if best_value is None:
         raise AssertionError(f"no union-closed family of size {m} on [{n}]")
     witness = SetFamily(n, tuple(x for x in range(full) if x not in best_missing))

@@ -14,7 +14,7 @@ VerificationReport; none of them re-derives a proof.  The claims:
   thm-g              g(n, 2^n - i) = 2^(n-1) for 0 <= i <= n-1.
   thm-f-2n-minus-n   f(n, 2^(n-1) - 1) = 2^n - n: the power set minus its
                      n singletons attains the value (lower bound, checked
-                     for any n), exhaustive search matches it (n <= 4).
+                     for any n), the search matches it (n <= 6).
   monotonicity       f(n,a) <= f(n+1,a) always; f(n,a) = f(n+1,a) from
                      n = a-1 on, except where a 2^n-set lattice is too
                      small to hold the plateau value at all (see
@@ -148,9 +148,9 @@ def verify_f_theorem(n: int, budget: SearchBudget = NO_BUDGET) -> VerificationRe
     """f(n, 2^(n-1) - 1) = 2^n - n.
 
     The construction leg (lower bound) runs for any n <= 16.  The
-    matching upper bound needs the exhaustive engine and is skipped for
-    n > 4; at n = 1 the frequency cap is 2^0 - 1 = 0 and the search
-    degenerates to f(1,0) = 1 = |{emptyset}|.
+    matching upper bound is the search value for n <= 6 (f(6,31) takes
+    247,812 nodes) and is skipped from n = 7 on; at n = 1 the frequency
+    cap is 2^0 - 1 = 0 and the search degenerates to f(1,0) = 1 = |{emptyset}|.
     """
     if not 1 <= n <= 16:
         raise ValueError(f"ground size must be in [1, 16], got {n}")
@@ -162,7 +162,7 @@ def verify_f_theorem(n: int, budget: SearchBudget = NO_BUDGET) -> VerificationRe
     if len(construction) != target or max_frequency(construction).count > max(cap, 0):
         violations.append({"leg": "construction", "size": len(construction)})
     skipped = False
-    if n <= 4:
+    if n <= 6:
         result = compute_f(n, cap, budget)
         if not result.proven_optimal:
             skipped = True
@@ -171,8 +171,8 @@ def verify_f_theorem(n: int, budget: SearchBudget = NO_BUDGET) -> VerificationRe
             violations.append({"leg": "search", "value": result.value, "expected": target})
     else:
         skipped = True
-        notes.append("upper-bound leg skipped (exhaustive search caps at n = 4); "
-                     "construction leg validated")
+        notes.append("upper-bound leg skipped for n >= 7 (branch and bound leaves f(7,63) "
+                     "unproven after 20 s); construction leg validated")
     scope = {"n": n, "cap": cap, "target": target}
     return report("thm-f-2n-minus-n", scope, violations, notes, skipped=skipped)
 

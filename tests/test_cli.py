@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from frankl_lab import family_from_json, is_union_closed, max_frequency
 from frankl_lab.cli import main
 
@@ -160,6 +162,26 @@ def test_table_bound_csv(capsys):
     rows = out.splitlines()
     assert rows[0] == "a,value"
     assert rows[1] == "7,24" and rows[-1] == "16,112"
+
+
+@pytest.mark.parametrize("argv", [
+    ("f", "--n", "4", "--a", "4"), ("g", "--n", "4", "--m", "13"), ("lp", "--n", "3", "--a", "3"),
+    ("bound", "--a", "7"), ("certify", "--n", "7"), ("verify", "--claim", "thm-g"), ("check",),
+    ("witness", "--n", "4", "--a", "4"),
+])
+def test_csv_is_offered_only_by_table(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert "invalid choice: 'csv'" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--max-nodes", "1"), ("--max-seconds", "1")])
+def test_table_bound_refuses_a_budget(capsys, flag, value):
+    code, out, err = run_cli(capsys, "table", "--what", "bound", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("frankl-lab: error: --what bound ") and err.count("\n") == 1
 
 
 def test_table_fr(capsys):

@@ -15,12 +15,15 @@ MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 LEAVES = ("families", "budget", "reports", "certificate")
 
 
+def parse(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
 def relative_imports(module: str) -> list[tuple[str, str]]:
     """(source module, imported name) for every relative import in `module`;
     `from . import x` yields (x, x)."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     found = []
-    for node in ast.walk(tree):
+    for node in ast.walk(parse(module)):
         if isinstance(node, ast.ImportFrom) and node.level > 0:
             found += [(node.module or alias.name, alias.name) for alias in node.names]
     return found
@@ -44,3 +47,17 @@ def test_no_module_imports_a_private_name(module):
     private = [(source, name) for source, name in relative_imports(module)
                if name.startswith("_") or source.startswith("_")]
     assert private == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_sets_the_recursion_limit(module):
+    # the interpreter's recursion limit is global state; no search may need it raised
+    names = set()
+    for node in ast.walk(parse(module)):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert "setrecursionlimit" not in names

@@ -149,6 +149,9 @@ _F_WITNESS_9 = (0, 1, 2, 3, 4, 5, 6, 7, 15)
     ("g", 5, 24, None, 14, 14_262, True,
      (0, 3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 19, 21, 22, 23, 25, 26, 27, 28,
       29, 30, 31)),
+    ("g", 5, 20, 100, 12, 116, False,
+     (0, 3, 7, 11, 12, 13, 14, 15, 16, 19, 21, 22, 23, 25, 26, 27, 28, 29, 30, 31)),
+    ("f", 6, 6, 999, 10, 1_006, False, (0, 1, 2, 3, 4, 5, 6, 7, 11, 15)),
 ])
 def test_branch_and_bound_path_is_pinned(kind, n, k, budget, value, nodes, proven, masks):
     # value, node count and first-met witness of the search in its fixed order
@@ -336,6 +339,17 @@ def test_searches_restore_the_recursion_limit():
     assert sys.getrecursionlimit() == limit
     compute_g(5, 20)
     assert sys.getrecursionlimit() == limit
+
+
+def test_no_search_raises_the_recursion_limit(monkeypatch):
+    # a path through the 2^11 masks is 2,049 nodes long, twice the default limit
+    calls = []
+    set_limit = sys.setrecursionlimit
+    monkeypatch.setattr(sys, "setrecursionlimit", lambda limit: (calls.append(limit),
+                                                                 set_limit(limit)))
+    result = compute_f(11, 1023, SearchBudget(max_nodes=2500))
+    assert (result.value, result.nodes, result.proven_optimal) == (2037, 4535, False)
+    assert calls == []
 
 
 def _relabel(n, masks, perm):

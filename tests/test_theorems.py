@@ -125,15 +125,17 @@ def test_construction_postconditions_all_n(n):
 
 # --- f theorem -----------------------------------------------------------------------
 
-@pytest.mark.parametrize("n,value", [(1, 1), (2, 2), (3, 5), (4, 12)])
+@pytest.mark.parametrize("n,value", [(1, 1), (2, 2), (3, 5), (4, 12), (5, 27),
+                                     pytest.param(6, 58, marks=pytest.mark.stretch)])
 def test_f_theorem_small(n, value):
     report = verify_f_theorem(n)
     assert report.verified
     assert report.scope["target"] == value
 
 
-def test_f_theorem_construction_only_beyond_4():
-    report = verify_f_theorem(10)
+@pytest.mark.parametrize("n", [7, 10])
+def test_f_theorem_construction_only_beyond_6(n):
+    report = verify_f_theorem(n)
     assert report.status == "skipped"
     assert report.violations == []
     assert any("construction" in note for note in report.notes)
