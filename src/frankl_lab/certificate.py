@@ -97,11 +97,6 @@ class CertificateReport:
             "notes": list(self.notes),
         }
 
-    def to_csv(self) -> str:
-        lines = ["check,passed,slack"]
-        lines.extend(f"{c.name},{str(c.passed).lower()},{c.slack}" for c in self.checks)
-        return "\n".join(lines) + "\n"
-
 
 def make_certificate(n: int) -> DualCertificate:
     """Build the exact certificate for ground size n >= 5.
@@ -199,17 +194,6 @@ A9_NOTE = (
 class BoundTable:
     rows: tuple[tuple[int, int], ...]  # (a, floor(bar_f_diag(a)))
     notes: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "rows": [{"a": a, "value": v} for a, v in self.rows],
-            "notes": list(self.notes),
-        }
-
-    def to_csv(self) -> str:
-        lines = ["a,value"]
-        lines.extend(f"{a},{v}" for a, v in self.rows)
-        return "\n".join(lines) + "\n"
 
 
 def bound_table(a_from: int, a_to: int) -> BoundTable:

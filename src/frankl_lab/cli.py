@@ -2,9 +2,10 @@
 
 Commands: f, g, lp, bound, certify, verify, table, witness, check.
 Output goes to stdout (text by default, --format json; table also takes
---format csv), diagnostics to stderr.  Exit codes: 0 success, 1 invalid
-arguments, 2 budget exhausted with partial output, 3 verification
-violation (a theorem contradiction, i.e. a bug).
+--format csv; witness always prints family JSON), diagnostics to stderr.
+Exit codes: 0 success, 1 invalid arguments, 2 budget exhausted with
+partial output, 3 verification violation (a theorem contradiction, i.e.
+a bug).
 
 Identical invocations print byte-identical JSON when --stable is given:
 the flag drops the wall-clock sidecar fields ("seconds"), which are the
@@ -51,8 +52,8 @@ def _scrub_timing(obj):
     return obj
 
 
-def _emit_json(payload: dict, args) -> None:
-    if args.stable:
+def _emit_json(payload: dict, stable: bool = False) -> None:
+    if stable:
         payload = _scrub_timing(payload)
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
@@ -64,7 +65,7 @@ def _budget_from(args) -> SearchBudget:
 def _cmd_f(args) -> int:
     result = compute_f(args.n, args.a, _budget_from(args))
     if args.format == "json":
-        _emit_json(result.to_json(), args)
+        _emit_json(result.to_json(), args.stable)
     else:
         flag = "proven optimal" if result.proven_optimal else "lower bound (budget hit)"
         print(f"f({args.n},{args.a}) = {result.value} [{flag}], "
@@ -75,7 +76,7 @@ def _cmd_f(args) -> int:
 def _cmd_g(args) -> int:
     result = compute_g(args.n, args.m, _budget_from(args))
     if args.format == "json":
-        _emit_json(result.to_json(), args)
+        _emit_json(result.to_json(), args.stable)
     else:
         flag = "proven optimal" if result.proven_optimal else "upper bound (budget hit)"
         print(f"g({args.n},{args.m}) = {result.value} [{flag}], {result.nodes} nodes")
@@ -93,7 +94,7 @@ def _cmd_lp(args) -> int:
         payload = solution.to_json()
         if solution.objective is not None:
             payload["floor"] = math.floor(solution.objective)
-        _emit_json(payload, args)
+        _emit_json(payload, args.stable)
     else:
         if solution.status == "optimal":
             print(f"f_r({args.n},{args.a}) = {solution.objective} "
@@ -117,7 +118,7 @@ def _cmd_bound(args) -> int:
         label = {"n": args.n, "a": args.a}
     floor = math.floor(value)
     if args.format == "json":
-        _emit_json({**label, "floor": floor, "exact": str(value), "notes": notes}, args)
+        _emit_json({**label, "floor": floor, "exact": str(value), "notes": notes}, args.stable)
     else:
         print(f"{floor} (exact {value})")
         for note in notes:
@@ -142,7 +143,7 @@ def _cmd_certify(args) -> int:
         if bound != expected:
             dual_exit = EXIT_VIOLATION
     if args.format == "json":
-        _emit_json(payload, args)
+        _emit_json(payload, args.stable)
     else:
         print(f"certificate n={args.n}: alpha={cert.alpha} beta={cert.beta} gamma={cert.gamma}")
         for check in report.checks:
@@ -182,7 +183,7 @@ def _cmd_verify(args) -> int:
     else:
         reports = [run_claim(args.claim, **kwargs)]
     if args.format == "json":
-        _emit_json({"reports": [r.to_json() for r in reports]}, args)
+        _emit_json({"reports": [r.to_json() for r in reports]}, args.stable)
     else:
         for r in reports:
             print(f"{r.claim}: {r.status}")
@@ -198,16 +199,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    lo, hi = args.start, args.stop
+    lo, hi = {"bound": (7, 16), "f-aa": (1, 5), "fr": (1, 4)}[args.what]
+    lo = lo if args.start is None else args.start
+    hi = hi if args.stop is None else args.stop
+    if lo > hi:
+        raise ValueError(f"empty range: --from {lo} is above --to {hi}")
     if args.what == "bound":
         if args.max_nodes is not None or args.max_seconds is not None:
             raise ValueError("--what bound evaluates a closed form and takes no budget")
-        lo, hi = lo or 7, hi or 16
         table = bound_table(lo, hi)
         rows = table.rows
         notes = list(table.notes)
     elif args.what == "f-aa":
-        lo, hi = lo or 1, hi or 5
         budget = _budget_from(args)
         rows = []
         notes = []
@@ -217,7 +220,6 @@ def _cmd_table(args) -> int:
             if not r.proven_optimal:
                 notes.append(f"a={a}: budget exhausted, value is a lower bound")
     else:  # fr
-        lo, hi = lo or 1, hi or 4
         rows = []
         notes = []
         for a in range(lo, hi + 1):
@@ -237,7 +239,7 @@ def _cmd_table(args) -> int:
     elif args.format == "json":
         _emit_json({"what": args.what,
                     "rows": [{"a": a, "value": v} for a, v in rows],
-                    "notes": notes}, args)
+                    "notes": notes}, args.stable)
     else:
         for a, v in rows:
             print(f"{a:3d}  {v}")
@@ -253,7 +255,7 @@ def _cmd_witness(args) -> int:
     payload = family_to_json(result.witness)
     payload["f_value"] = result.value
     payload["proven_optimal"] = result.proven_optimal
-    _emit_json(payload, args)  # the family JSON is the output in every format
+    _emit_json(payload)  # the family JSON is the only output; it has no timing field
     return EXIT_OK if result.proven_optimal else EXIT_BUDGET
 
 
@@ -263,7 +265,7 @@ def _cmd_check(args) -> int:
         _emit_json({"results": [{
             "criterion": r.criterion, "name": r.name, "passed": r.passed,
             "seconds": r.seconds, "limit": r.limit, "detail": r.detail,
-        } for r in results]}, args)
+        } for r in results]}, args.stable)
     else:
         for r in results:
             print(r.line)
@@ -271,9 +273,10 @@ def _cmd_check(args) -> int:
 
 
 def _add_common(parser, budget=True, seed=False, formats=("text", "json")):
-    parser.add_argument("--format", choices=formats, default="text")
-    parser.add_argument("--stable", action="store_true",
-                        help="omit wall-clock fields so identical runs emit identical bytes")
+    if formats:
+        parser.add_argument("--format", choices=formats, default="text")
+        parser.add_argument("--stable", action="store_true",
+                            help="omit wall-clock fields so identical runs emit identical bytes")
     if budget:
         parser.add_argument("--max-nodes", type=int, default=None)
         parser.add_argument("--max-seconds", type=float, default=None)
@@ -337,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="emit an extremal family as JSON")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    _add_common(p)
+    _add_common(p, formats=())
     p.set_defaults(fn=_cmd_witness)
 
     p = sub.add_parser("check", help="run the full desk-scale acceptance battery")

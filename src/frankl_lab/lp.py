@@ -119,7 +119,7 @@ def build_relaxation(n: int, a: int) -> LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded" | "budget"
+    status: str  # "optimal" | "unbounded" | "budget"; rhs >= 0, so x = 0 is always feasible
     objective: Optional[Fraction]
     primal: dict[int, Fraction] = field(default_factory=dict)
     dual: dict[RowKey, Fraction] = field(default_factory=dict)

@@ -21,8 +21,7 @@ Three engines:
                frequency passes a cap), then excludes it.  A per-node visit
                function carries each caller's incumbent and bound:
                  f  cap a; prunes on incumbent size plus remaining
-                    capacity and, for n >= 7, stops at the certified upper
-                    bound fbar(n,a);
+                    capacity;
                  g  cap one below the incumbent; prunes on a lower bound
                     from the frequency slots needed.
                The kernel also cuts isomorphs: at the first mask of each
@@ -53,7 +52,6 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .budget import NO_BUDGET, SearchBudget
-from .certificate import bar_f
 from .families import (SetFamily, complement_is_union_closed, family_to_json,
                        is_union_closed, max_frequency, popcount)
 
@@ -366,10 +364,6 @@ class _IsomorphRejector:
         return twin
 
 
-class _Halt(Exception):
-    """Raised by a visit function to end the search at once."""
-
-
 def _depth_first(n: int, budget: SearchBudget, visit) -> _Ticker:
     """Depth-first search over the union-closed families on [n].
 
@@ -382,11 +376,11 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> _Ticker:
     branch order, `used` is the sum and `top` the maximum of the element
     frequencies.  visit does the caller's incumbent and bound bookkeeping
     and returns the frequency cap for including order[i], or None to cut
-    the node; it must return None at a leaf, and may raise _Halt to end
-    the search.  A node that survives visit is also cut at a boundary
-    where an isomorph was seen (see _IsomorphRejector).  That cut is sound
-    only because visit's return value depends on `included` only up to a
-    relabelling of [n], and any incumbent it keeps only improves.
+    the node; it must return None at a leaf.  A node that survives visit
+    is also cut at a boundary where an isomorph was seen (see
+    _IsomorphRejector).  That cut is sound only because visit's return
+    value depends on `included` only up to a relabelling of [n], and any
+    incumbent it keeps only improves.
 
     The nodes wait on an explicit stack of frames (i, size, used, top), so
     a path of 2^n + 1 nodes needs no raised recursion limit.  Expanding a
@@ -406,42 +400,39 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> _Ticker:
     included: list[int] = []
     inc_bits = 0
     stack: list[Optional[tuple[int, int, int, int]]] = [(0, 0, 0, 0)]
-    try:
-        while stack:
-            frame = stack.pop()
-            if frame is None:
-                mask = included.pop()
-                inc_bits ^= 1 << mask
-                for e in iso.elems[mask]:
-                    freq[e] -= 1
-                continue
-            i, size, used, top = frame
-            if not tick.tick():
-                continue
-            cap = visit(i, size, used, top, included)
-            if cap is None or (boundary[i] and iso.repeated(i, included)):
-                continue
-            stack.append((i + 1, size, used, top))
-            mask, es = order[i], elems[i]
-            feasible = top < cap or all(freq[e] < cap for e in es)  # top bounds every freq[e]
-            if feasible:
-                for t in included:
-                    u = mask | t
-                    if u != t and not (inc_bits >> u) & 1:
-                        feasible = False
-                        break
-            if feasible:
-                new_top = top
-                for e in es:
-                    freq[e] += 1
-                    if freq[e] > new_top:
-                        new_top = freq[e]
-                included.append(mask)
-                inc_bits |= 1 << mask
-                stack.append(None)
-                stack.append((i + 1, size + 1, used + len(es), new_top))
-    except _Halt:
-        pass
+    while stack:
+        frame = stack.pop()
+        if frame is None:
+            mask = included.pop()
+            inc_bits ^= 1 << mask
+            for e in iso.elems[mask]:
+                freq[e] -= 1
+            continue
+        i, size, used, top = frame
+        if not tick.tick():
+            continue
+        cap = visit(i, size, used, top, included)
+        if cap is None or (boundary[i] and iso.repeated(i, included)):
+            continue
+        stack.append((i + 1, size, used, top))
+        mask, es = order[i], elems[i]
+        feasible = top < cap or all(freq[e] < cap for e in es)  # top bounds every freq[e]
+        if feasible:
+            for t in included:
+                u = mask | t
+                if u != t and not (inc_bits >> u) & 1:
+                    feasible = False
+                    break
+        if feasible:
+            new_top = top
+            for e in es:
+                freq[e] += 1
+                if freq[e] > new_top:
+                    new_top = freq[e]
+            included.append(mask)
+            inc_bits |= 1 << mask
+            stack.append(None)
+            stack.append((i + 1, size + 1, used + len(es), new_top))
     return tick
 
 
@@ -454,16 +445,11 @@ def _bb_f(n: int, a: int, budget: SearchBudget) -> SearchResult:
     # seed from the exhaustive n = 4 table: a family on [4] is a family on
     # [n] with unchanged frequencies
     best_size, best_masks = _exhaustive_f(EXHAUSTIVE_MAX_N, min(a, 1 << EXHAUSTIVE_MAX_N))
-    # an improvement that meets the certified bound ends the search (the
-    # n = 4 seed itself never meets it at n <= 11)
-    cert_cap = math.floor(bar_f(n, a)) if n >= 7 and a >= 1 else None
 
     def visit(i, size, used, top, included):
         nonlocal best_size, best_masks
         if size > best_size:
             best_size, best_masks = size, tuple(sorted(included))
-            if cert_cap is not None and best_size >= cert_cap:
-                raise _Halt
         if i == length:
             return None
         # the empty set sits at the end of the order and costs no slots

@@ -167,13 +167,38 @@ def test_table_bound_csv(capsys):
 @pytest.mark.parametrize("argv", [
     ("f", "--n", "4", "--a", "4"), ("g", "--n", "4", "--m", "13"), ("lp", "--n", "3", "--a", "3"),
     ("bound", "--a", "7"), ("certify", "--n", "7"), ("verify", "--claim", "thm-g"), ("check",),
-    ("witness", "--n", "4", "--a", "4"),
 ])
 def test_csv_is_offered_only_by_table(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--format", "csv")
     assert code == 1
     assert out == ""
     assert "invalid choice: 'csv'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--format", "csv"), ("--format", "text"), ("--format", "json"), ("--stable",),
+])
+def test_witness_takes_no_output_flags(capsys, argv):
+    # witness always prints the family JSON, which has no timing field
+    code, out, err = run_cli(capsys, "witness", "--n", "3", "--a", "2", *argv)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(argv)}" in err
+
+
+def test_table_takes_zero_as_a_bound_not_as_the_default(capsys):
+    code, out, err = run_cli(capsys, "table", "--what", "bound", "--from", "0", "--to", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("frankl-lab: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("what", ["f-aa", "bound", "fr"])
+def test_table_refuses_an_empty_range(capsys, what):
+    code, out, err = run_cli(capsys, "table", "--what", what, "--from", "4", "--to", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "frankl-lab: error: empty range: --from 4 is above --to 2\n"
 
 
 @pytest.mark.parametrize("flag,value", [("--max-nodes", "1"), ("--max-seconds", "1")])

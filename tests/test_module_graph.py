@@ -37,6 +37,11 @@ def test_lp_does_not_import_the_search_engine():
     assert "search" not in {source for source, _ in relative_imports("lp")}
 
 
+def test_search_imports_only_budget_and_families():
+    # in particular nothing from `certificate` or `lp`
+    assert {source for source, _ in relative_imports("search")} <= {"budget", "families"}
+
+
 @pytest.mark.parametrize("module", LEAVES)
 def test_leaf_modules_import_nothing_from_the_package(module):
     assert relative_imports(module) == []
