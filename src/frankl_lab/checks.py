@@ -145,7 +145,7 @@ def check_section3_theorems() -> CheckResult:
 
 def check_lemma_suite() -> CheckResult:
     def run():
-        reports = thm_mod.run_lemma_claim(list(thm_mod.LEMMA_CHECKS.items()))
+        reports = thm_mod.run_lemma_claim()
         for rep in reports:
             if not rep.verified:
                 return False, f"{rep.claim} is violated: {rep.violations[:1]}"

@@ -178,7 +178,7 @@ def _cmd_verify(args) -> int:
                          "--n, --count, --seed, --max-nodes or --max-seconds")
     if args.claim == "all":
         # both lemma claims share one pass over the corpus
-        reports = run_lemma_claim(list(LEMMA_CHECKS.items()))
+        reports = run_lemma_claim()
         reports += [run_claim(claim) for claim in CLAIMS if claim not in LEMMA_CHECKS]
     else:
         reports = [run_claim(args.claim, **kwargs)]

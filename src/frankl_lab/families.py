@@ -124,9 +124,6 @@ class FrequencyVector:
 
     counts: tuple[int, ...]
 
-    def of(self, element: int) -> int:
-        return self.counts[element - 1]
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.counts)
 

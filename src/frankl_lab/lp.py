@@ -31,9 +31,11 @@ and the primal feasibility check run in integers: the vector is scaled
 once to integers over the lcm D of its denominators, and every row or
 column is then compared against its bound times D, so no rational
 arithmetic runs inside a loop over rows or columns.  The certificate
-multipliers (alpha on frequency rows, beta on size-(1,2,3) union rows,
-gamma on size-(2,2,4) union rows, 1 on the empty-set box row) map onto
-this interface via `certificate_to_dual`.
+multipliers map onto this interface via `certificate_to_dual`, which
+names their rows directly: alpha on each frequency row, beta on the union
+row of each split of a 3-subset into a singleton and a pair, gamma on the
+union row of each split of a 4-subset into two pairs, and 1 on the
+empty-set box row.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import comb, lcm
 from typing import Optional
 
@@ -58,8 +61,7 @@ LP_MAX_N = 9  # 2^9 = 512 variables, ~1.3e5 union rows
 class Row:
     """One <= constraint: sum of coeffs[mask] * x_mask <= rhs."""
 
-    kind: str  # "union" | "frequency" | "box"
-    key: RowKey
+    key: RowKey  # key[0] is the row's kind: "union" | "frequency" | "box"
     coeffs: dict[int, int]
     rhs: int
 
@@ -68,7 +70,7 @@ class Row:
 class LpProblem:
     n: int
     a: int
-    variables: tuple[int, ...]  # all masks, ascending
+    variables: tuple[int, ...]  # all masks, ascending: mask m is column m
     rows: tuple[Row, ...]
 
     @cached_property
@@ -78,7 +80,7 @@ class LpProblem:
     def row_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for r in self.rows:
-            counts[r.kind] = counts.get(r.kind, 0) + 1
+            counts[r.key[0]] = counts.get(r.key[0], 0) + 1
         return counts
 
 
@@ -94,12 +96,16 @@ class DualInfeasibleError(Exception):
         )
 
 
-def build_relaxation(n: int, a: int) -> LpProblem:
-    """Construct the relaxation for 1 <= n <= 9, a >= 1."""
+def _check_size(n: int, a: int) -> None:
     if not 1 <= n <= LP_MAX_N:
-        raise ValueError(f"relaxation capped at n = {LP_MAX_N}, got {n}")
+        raise ValueError(f"ground size must be in [1, {LP_MAX_N}], got {n}")
     if a < 1:
         raise ValueError(f"frequency cap must be >= 1, got {a}")
+
+
+def build_relaxation(n: int, a: int) -> LpProblem:
+    """Construct the relaxation for 1 <= n <= 9, a >= 1."""
+    _check_size(n, a)
     full = 1 << n
     rows: list[Row] = []
     for s in range(full):
@@ -107,13 +113,13 @@ def build_relaxation(n: int, a: int) -> LpProblem:
             u = s | t
             if u == s or u == t:
                 continue
-            rows.append(Row("union", ("union", s, t), {s: 1, t: 1, u: -1}, 1))
+            rows.append(Row(("union", s, t), {s: 1, t: 1, u: -1}, 1))
     for e in range(1, n + 1):
         bit = 1 << (e - 1)
         coeffs = {m: 1 for m in range(full) if m & bit}
-        rows.append(Row("frequency", ("frequency", e), coeffs, a))
+        rows.append(Row(("frequency", e), coeffs, a))
     for m in range(full):
-        rows.append(Row("box", ("box", m), {m: 1}, 1))
+        rows.append(Row(("box", m), {m: 1}, 1))
     return LpProblem(n, a, tuple(range(full)), tuple(rows))
 
 
@@ -280,15 +286,13 @@ def solve_exact(problem: LpProblem, budget: SearchBudget = NO_BUDGET) -> LpSolut
     feasible) basic solution as a lower bound and no dual.
     """
     t0 = time.perf_counter()
-    var_pos = {m: i for i, m in enumerate(problem.variables)}
-    rows = [({var_pos[m]: c for m, c in row.coeffs.items()}, row.rhs)
-            for row in problem.rows]
+    rows = [(row.coeffs, row.rhs) for row in problem.rows]
     status, value, primal_list, dual_list, pivots = _simplex_max(
         [1] * len(problem.variables), rows, budget)
     elapsed = time.perf_counter() - t0
     if status == "unbounded":
         return LpSolution("unbounded", None, pivots=pivots, seconds=elapsed)
-    primal = {m: primal_list[var_pos[m]] for m in problem.variables}
+    primal = dict(zip(problem.variables, primal_list))
     if status == "budget":
         return LpSolution("budget", value, primal, {}, pivots, elapsed)
     dual = {problem.rows[r].key: dual_list[r] for r in range(len(problem.rows))}
@@ -353,37 +357,35 @@ def verify_dual_bound(problem: LpProblem, dual: dict[RowKey, Fraction]) -> Fract
     return Fraction(bound, d)
 
 
-def union_size_pattern(row: Row) -> tuple[int, int, int]:
-    """(|S|, |T|, |S u T|) of a union row, the smaller size first."""
-    _, s, t = row.key
-    ps, pt = popcount(s), popcount(t)
-    if ps > pt:
-        ps, pt = pt, ps
-    return ps, pt, popcount(s | t)
+def _split_key(part: int, whole: int) -> RowKey:
+    """Key of the union row {part, whole - part}, the smaller mask first."""
+    rest = whole ^ part
+    return ("union", min(part, rest), max(part, rest))
 
 
 def certificate_to_dual(cert: DualCertificate, problem: LpProblem) -> dict[RowKey, Fraction]:
     """Spread the certificate multipliers over the matching rows.
 
-    alpha goes on every frequency row, beta on the 3*C(n,3) union rows
-    with size pattern (1,2,3), gamma on the 3*C(n,4) rows with pattern
-    (2,2,4), and 1 on the box row of the empty set.  Valid as a dual
-    vector only for n >= 7 (gamma >= 0 there).
+    The rows are named from subsets of [n]: alpha goes on every
+    frequency row, beta on the union rows {S, T} of the 3 * C(n,3)
+    splits of a 3-subset into a singleton S and a pair T, gamma on the
+    union rows of the 3 * C(n,4) splits of a 4-subset into two pairs,
+    and 1 on the box row of the empty set.  Valid as a dual vector only
+    for n >= 7 (gamma >= 0 there).
     """
     if cert.n != problem.n:
         raise ValueError(f"certificate is for n={cert.n}, problem has n={problem.n}")
     if cert.n < 7:
         raise ValueError("certificate multipliers are not a dual vector below n = 7")
-    dual: dict[RowKey, Fraction] = {}
-    for row in problem.rows:
-        if row.kind == "frequency":
-            dual[row.key] = cert.alpha
-        elif row.kind == "union":
-            pattern = union_size_pattern(row)
-            if pattern == (1, 2, 3):
-                dual[row.key] = cert.beta
-            elif pattern == (2, 2, 4):
-                dual[row.key] = cert.gamma
+    bits = [1 << i for i in range(cert.n)]
+    dual: dict[RowKey, Fraction] = {("frequency", e): cert.alpha
+                                    for e in range(1, cert.n + 1)}
+    for trio in combinations(bits, 3):
+        for single in trio:
+            dual[_split_key(single, sum(trio))] = cert.beta
+    for quad in combinations(bits, 4):
+        for other in quad[1:]:  # the pair holding the lowest element
+            dual[_split_key(quad[0] | other, sum(quad))] = cert.gamma
     dual[("box", 0)] = Fraction(1)
     return dual
 
@@ -402,8 +404,7 @@ def certificate_dual_bound(n: int, a: int) -> Fraction:
     return value
 
 
-def symmetric_relaxation_value(n: int, a: int,
-                               budget: SearchBudget = NO_BUDGET) -> tuple[Fraction, dict[int, Fraction]]:
+def symmetric_relaxation_value(n: int, a: int) -> tuple[Fraction, dict[int, Fraction]]:
     """f_r(n, a) via the cardinality-collapsed LP; exact and fast.
 
     Every constraint and the objective of the relaxation are invariant
@@ -426,10 +427,7 @@ def symmetric_relaxation_value(n: int, a: int,
 
     Returns (value, {k: t_k}).
     """
-    if not 1 <= n <= LP_MAX_N:
-        raise ValueError(f"relaxation capped at n = {LP_MAX_N}, got {n}")
-    if a < 1:
-        raise ValueError(f"frequency cap must be >= 1, got {a}")
+    _check_size(n, a)
     rows: list[tuple[dict[int, int], int]] = []
     for j in range(1, n + 1):
         for i in range(1, j + 1):
@@ -442,7 +440,7 @@ def symmetric_relaxation_value(n: int, a: int,
     for k in range(n + 1):
         rows.append(({k: 1}, 1))
     objective = [comb(n, k) for k in range(n + 1)]
-    status, value, primal, _, _ = _simplex_max(objective, rows, budget)
+    status, value, primal, _, _ = _simplex_max(objective, rows, NO_BUDGET)
     if status != "optimal":
         raise RuntimeError(f"collapsed relaxation did not solve: status {status}")
     return value, {k: primal[k] for k in range(n + 1)}
@@ -490,7 +488,7 @@ def problem_to_text(problem: LpProblem) -> str:
     """
     lines = [f"lp n={problem.n} a={problem.a} vars={len(problem.variables)}"]
     for row in problem.rows:
-        parts = [row.kind, str(row.rhs)]
+        parts = [row.key[0], str(row.rhs)]
         parts.extend(f"{m}:{c}" for m, c in sorted(row.coeffs.items()))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

@@ -273,45 +273,41 @@ def random_closures(n: int, count: int, base_seed: int = LEMMA_BASE_SEED):
         yield random_union_closed(n, base_seed + i, density)
 
 
-def run_lemma_claim(checks, ns=LEMMA_RANDOM_NS,
+# each lemma claim's check on a union-closed family, given its missing masks
+LEMMA_CHECKS = {"missing-subsets": _missing_subsets,
+                "missing-covering": _missing_covering}
+
+
+def run_lemma_claim(claims: tuple[str, ...] = tuple(LEMMA_CHECKS), ns=LEMMA_RANDOM_NS,
                     count: int = LEMMA_RANDOM_COUNT,
                     base_seed: int = LEMMA_BASE_SEED) -> list[VerificationReport]:
     """Exhaustive n <= 4 plus seeded random closures, in one pass.
 
-    `checks` is a sequence of (claim, check) pairs; every family of the
-    corpus is built once and handed to each check in turn.  For the two
-    lemma checks the family's closure is tested and its complement built
-    once, not once per check.  Returns one report per pair, in the given
-    order.  A negative `count` raises ValueError.
+    `claims` names lemma claims, both by default.  Every family of the
+    corpus is built once, its closure tested and its complement built
+    once, and then handed to each claim's check in turn.  Returns one
+    report per claim, in the given order.  A negative `count` raises
+    ValueError.
     """
     if count < 0:
         raise ValueError(f"random family count must be >= 0, got {count}")
-    on_missing = [_ON_MISSING.get(check) for _, check in checks]
-    violations: list[list] = [[] for _ in checks]
+    checks = [LEMMA_CHECKS[claim] for claim in claims]
+    violations: list[list] = [[] for _ in claims]
     families_checked = 0
     corpus = chain(((n, family) for n in range(1, 5) for family in enumerate_union_closed(n)),
                    ((n, family) for n in ns for family in random_closures(n, count, base_seed)))
     for n, family in corpus:
-        if any(on_missing):
-            _require_union_closed(family)
-            missing = complement(family).masks
-        for found, (_, check), lemma in zip(violations, checks, on_missing):
-            result = lemma(family, missing) if lemma else check(family)
+        _require_union_closed(family)
+        missing = complement(family).masks
+        for found, check in zip(violations, checks):
             found.extend({"n": n, "family": list(family.masks), **v}
-                         for v in result.violations)
+                         for v in check(family, missing).violations)
         families_checked += 1
     scope = {"exhaustive_n": [1, 2, 3, 4], "random_ns": list(ns),
              "random_count": count, "base_seed": base_seed,
              "families_checked": families_checked}
     return [report(claim, dict(scope), found)
-            for found, (claim, _) in zip(violations, checks)]
-
-
-LEMMA_CHECKS = {"missing-subsets": check_missing_subsets,
-                "missing-covering": check_missing_covering}
-# each lemma check without its own closure test and complement
-_ON_MISSING = {check_missing_subsets: _missing_subsets,
-               check_missing_covering: _missing_covering}
+            for claim, found in zip(claims, violations)]
 
 
 # the keywords each claim takes to narrow its default scope
@@ -332,7 +328,7 @@ def run_claim(claim: str, **kwargs) -> VerificationReport:
         raise ValueError(f"claim {claim!r} does not take {', '.join(extra)} "
                          f"(it takes {', '.join(_CLAIM_KEYWORDS[claim])})")
     if claim in LEMMA_CHECKS:
-        return run_lemma_claim([(claim, LEMMA_CHECKS[claim])], **kwargs)[0]
+        return run_lemma_claim((claim,), **kwargs)[0]
     budget = kwargs.get("budget", NO_BUDGET)
     if claim == "thm-g":
         reports = [verify_g_theorem(n, budget) for n in kwargs.get("ns", (3, 4, 5))]

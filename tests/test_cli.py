@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -68,6 +69,30 @@ def test_lp_command(capsys, tmp_path):
     assert blob["floor"] == 2
     text = export.read_text()
     assert text.startswith("lp n=2 a=1 vars=4")
+
+
+def test_lp_refuses_an_empty_ground_set(capsys):
+    code, out, err = run_cli(capsys, "lp", "--n", "0", "--a", "1")
+    assert (code, out) == (1, "")
+    assert err == "frankl-lab: error: ground size must be in [1, 9], got 0\n"
+
+
+# first 16 hex digits of the SHA-256 of each command's stdout under
+# --format json --stable: they pin every primal and dual value of the LP
+# layer and the order of the dual's keys
+LP_LAYER_DIGESTS = {
+    "lp --n 4 --a 4": "7bd51003fff0d894",
+    "lp --n 5 --a 5": "79b908c1718823e3",
+    "certify --n 7 --a 7": "9874899050dcf950",
+    "table --what fr": "dc55e254b17ae4f1",
+}
+
+
+@pytest.mark.parametrize("command", LP_LAYER_DIGESTS)
+def test_lp_layer_json_is_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split(), "--format", "json", "--stable")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == LP_LAYER_DIGESTS[command]
 
 
 def test_certify_with_dual(capsys):
@@ -215,6 +240,12 @@ def test_table_fr(capsys):
     blob = json.loads(out)
     assert [r["value"] for r in blob["rows"]] == [2, 4, 6, 9]
     assert any("13/2" in n for n in blob["notes"])
+
+
+def test_table_fr_refuses_an_empty_ground_set(capsys):
+    code, out, err = run_cli(capsys, "table", "--what", "fr", "--from", "0", "--to", "0")
+    assert (code, out) == (1, "")
+    assert err == "frankl-lab: error: ground size must be in [1, 9], got 0\n"
 
 
 def test_table_fr_budget_rows_are_lower_bounds(capsys):

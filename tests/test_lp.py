@@ -11,8 +11,8 @@ from frankl_lab import (DualInfeasibleError, SearchBudget, bar_f,
                         make_certificate, problem_to_text,
                         prove_diagonal_relaxation_value, solve_exact,
                         symmetric_relaxation_value, verify_dual_bound)
-from frankl_lab.lp import (LpProblem, Row, _assert_primal_feasible,
-                           union_size_pattern)
+from frankl_lab.families import popcount
+from frankl_lab.lp import LpProblem, Row, _assert_primal_feasible
 
 F = Fraction
 
@@ -99,7 +99,7 @@ def test_exact_solver_agrees_with_scipy():
         for a in range(1, (1 << (n - 1)) + 1):
             p = build_relaxation(n, a)
             nv = 1 << n
-            rows = [r for r in p.rows if r.kind != "box"]
+            rows = [r for r in p.rows if r.key[0] != "box"]
             A = [[0.0] * nv for _ in rows]
             b = []
             for i, r in enumerate(rows):
@@ -180,7 +180,7 @@ def test_time_budget_stops_with_feasible_partial_result(monkeypatch):
 
 def test_column_bounded_by_no_row_is_unbounded():
     # x_1 appears in no row, so it can grow without limit
-    p = LpProblem(1, 1, (0, 1), (Row("box", ("box", 0), {0: 1}, 1),))
+    p = LpProblem(1, 1, (0, 1), (Row(("box", 0), {0: 1}, 1),))
     sol = solve_exact(p)
     assert sol.status == "unbounded"
     assert sol.objective is None
@@ -188,8 +188,8 @@ def test_column_bounded_by_no_row_is_unbounded():
 
 
 def test_negative_right_hand_side_rejected():
-    p = LpProblem(1, 1, (0, 1), (Row("box", ("box", 0), {0: 1}, -1),
-                                 Row("box", ("box", 1), {1: 1}, 1)))
+    p = LpProblem(1, 1, (0, 1), (Row(("box", 0), {0: 1}, -1),
+                                 Row(("box", 1), {1: 1}, 1)))
     with pytest.raises(ValueError):
         solve_exact(p)
 
@@ -275,7 +275,7 @@ def test_primal_check_accepts_the_row_met_with_equality():
 def test_primal_check_catches_a_variable_bound(value, other):
     # no box rows, so only the bound check can see the violation; the
     # common denominator is 7 (or 5), so each value is one unit out of range
-    p = LpProblem(1, 2, (0, 1), (Row("frequency", ("frequency", 1), {1: 1}, 2),))
+    p = LpProblem(1, 2, (0, 1), (Row(("frequency", 1), {1: 1}, 2),))
     with pytest.raises(AssertionError, match="variable bound violated at mask 0"):
         _assert_primal_feasible(p, {0: value, 1: other})
 
@@ -368,21 +368,38 @@ def test_integer_checks_match_fraction_reference_on_the_n7_certificate():
 
 # --- certificate as dual ---------------------------------------------------------
 
-def test_certificate_row_multiplicities_at_n7():
-    p = build_relaxation(7, 7)
-    cert = make_certificate(7)
+def union_size_pattern(key):
+    """(|S|, |T|, |S u T|) of a union row key, the smaller size first."""
+    _, s, t = key
+    return (*sorted((popcount(s), popcount(t))), popcount(s | t))
+
+
+def scanned_certificate_dual(cert, p):
+    """Reference: the certificate's rows found by scanning every row."""
+    union_multiplier = {(1, 2, 3): cert.beta, (2, 2, 4): cert.gamma}
+    dual = {}
+    for row in p.rows:
+        if row.key[0] == "frequency":
+            dual[row.key] = cert.alpha
+        elif row.key[0] == "union":
+            multiplier = union_multiplier.get(union_size_pattern(row.key))
+            if multiplier is not None:
+                dual[row.key] = multiplier
+    dual[("box", 0)] = F(1)
+    return dual
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_certificate_row_multiplicities(n):
+    p = build_relaxation(n, n)
+    cert = make_certificate(n)
     dual = certificate_to_dual(cert, p)
-    beta_rows = [k for k, v in dual.items() if v == cert.beta]
-    gamma_rows = [k for k, v in dual.items() if v == cert.gamma]
-    alpha_rows = [k for k, v in dual.items() if v == cert.alpha]
-    assert len(beta_rows) == 105  # 3 * C(7,3)
-    assert len(gamma_rows) == 105  # 3 * C(7,4)
-    assert len(alpha_rows) == 7
+    assert len({cert.alpha, cert.beta, cert.gamma, F(1)}) == 4
+    assert sum(v == cert.beta for v in dual.values()) == 3 * math.comb(n, 3)
+    assert sum(v == cert.gamma for v in dual.values()) == 3 * math.comb(n, 4)
+    assert sum(v == cert.alpha for v in dual.values()) == n
     assert dual[("box", 0)] == 1
-    for key in beta_rows:
-        assert union_size_pattern(p.rows_by_key[key]) == (1, 2, 3)
-    for key in gamma_rows:
-        assert union_size_pattern(p.rows_by_key[key]) == (2, 2, 4)
+    assert dual == scanned_certificate_dual(cert, p)
 
 
 def test_certificate_dual_bound_equals_bar_f():

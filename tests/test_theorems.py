@@ -208,19 +208,19 @@ def test_run_lemma_claim_checks_every_pair_in_one_pass(monkeypatch):
     draw = theorems.random_union_closed
     monkeypatch.setattr(theorems, "random_union_closed",
                         lambda *args: built.append(args) or draw(*args))
-    reports = run_lemma_claim(list(LEMMA_CHECKS.items()), ns=(5,), count=40)
+    reports = run_lemma_claim(ns=(5,), count=40)
     assert len(built) == 40  # each random family is drawn once, not once per claim
     assert [r.to_json() for r in reports] == [
         run_claim(claim, ns=(5,), count=40).to_json() for claim in LEMMA_CHECKS]
 
 
-def test_run_lemma_claim_keeps_violations_with_their_claim():
-    def flag_all(family):
+def test_run_lemma_claim_keeps_violations_with_their_claim(monkeypatch):
+    def flag_all(family, missing):
         return report("flag", {}, [{"size": len(family)}])
 
-    ok, flagged = run_lemma_claim([("missing-subsets", check_missing_subsets),
-                                   ("flag", flag_all)], ns=(), count=0)
+    monkeypatch.setitem(theorems.LEMMA_CHECKS, "missing-covering", flag_all)
+    ok, flagged = run_lemma_claim(ns=(), count=0)
     assert ok.claim == "missing-subsets" and ok.verified
-    assert flagged.claim == "flag" and flagged.status == "violated"
+    assert flagged.claim == "missing-covering" and flagged.status == "violated"
     assert len(flagged.violations) == flagged.scope["families_checked"]
     assert flagged.violations[0] == {"n": 1, "family": [], "size": 0}
