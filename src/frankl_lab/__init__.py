@@ -13,13 +13,13 @@ from .budget import SearchBudget
 from .certificate import (BoundTable, CertificateReport, DualCertificate,
                           bar_f, bar_f_diag, bound_table, make_certificate,
                           verify_certificate)
-from .families import (FrequencyVector, MaxFrequency, SetFamily, complement,
-                       family_from_json, family_to_json, frankl_witness,
-                       frequencies, is_union_closed, max_frequency,
-                       random_union_closed, union_closure)
-from .lp import (DualInfeasibleError, LpProblem, LpSolution, Row,
-                 build_relaxation, certificate_dual_bound,
-                 certificate_to_dual, lift_symmetric_primal, problem_to_text,
+from .families import (MaxFrequency, SetFamily, complement, family_from_json,
+                       family_to_json, frankl_witness, frequencies,
+                       is_union_closed, max_frequency, random_union_closed,
+                       union_closure)
+from .lp import (DualInfeasibleError, LpProblem, LpSolution, build_relaxation,
+                 certificate_dual_bound, certificate_to_dual,
+                 lift_symmetric_primal, problem_to_text,
                  prove_diagonal_relaxation_value, solve_exact,
                  symmetric_relaxation_value, verify_dual_bound)
 from .reports import VerificationReport
@@ -34,8 +34,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundTable", "CertificateReport", "DualCertificate", "DualInfeasibleError",
-    "FrequencyVector", "LpProblem", "LpSolution", "MaxFrequency", "Row",
-    "SearchBudget", "SearchResult", "SetFamily", "VerificationReport",
+    "LpProblem", "LpSolution", "MaxFrequency", "SearchBudget", "SearchResult",
+    "SetFamily", "VerificationReport",
     "CLAIMS", "bar_f", "bar_f_diag", "bound_table", "build_relaxation",
     "certificate_dual_bound", "certificate_to_dual", "check_fg_duality",
     "check_missing_covering", "check_missing_subsets", "complement",

@@ -17,7 +17,7 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_nodes is not None and self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
+        if self.max_seconds is not None and not self.max_seconds > 0:  # NaN too
             raise ValueError("max_seconds must be positive")
 
 

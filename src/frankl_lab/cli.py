@@ -86,15 +86,16 @@ def _cmd_g(args) -> int:
 def _cmd_lp(args) -> int:
     problem = build_relaxation(args.n, args.a)
     if args.export:
-        with open(args.export, "w") as fh:
-            fh.write(problem_to_text(problem))
+        try:
+            with open(args.export, "w") as fh:
+                fh.write(problem_to_text(problem))
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.export}: {exc.strerror}") from exc
         print(f"wrote {len(problem.rows)} rows to {args.export}", file=sys.stderr)
     solution = solve_exact(problem, _budget_from(args))
     if args.format == "json":
-        payload = solution.to_json()
-        if solution.objective is not None:
-            payload["floor"] = math.floor(solution.objective)
-        _emit_json(payload, args.stable)
+        _emit_json({**solution.to_json(), "floor": math.floor(solution.objective)},
+                   args.stable)
     else:
         if solution.status == "optimal":
             print(f"f_r({args.n},{args.a}) = {solution.objective} "

@@ -118,19 +118,6 @@ class SetFamily:
         return tuple(elements_of_mask(m) for m in self.masks)
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
-    """Per-element membership counts: counts[e-1] = |{S in F : e in S}|."""
-
-    counts: tuple[int, ...]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.counts)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-
 class MaxFrequency(NamedTuple):
     element: int
     count: int
@@ -168,11 +155,10 @@ def union_closure(family: SetFamily) -> SetFamily:
     return SetFamily(family.n, tuple(sorted(known)))
 
 
-def frequencies(family: SetFamily) -> FrequencyVector:
-    """Exact per-element membership counts."""
+def frequencies(family: SetFamily) -> tuple[int, ...]:
+    """Exact per-element membership counts: entry e-1 is |{S in F : e in S}|."""
     masks = family.masks
-    return FrequencyVector(tuple([len([m for m in masks if m >> e & 1])
-                                  for e in range(family.n)]))
+    return tuple([len([m for m in masks if m >> e & 1]) for e in range(family.n)])
 
 
 def max_frequency(family: SetFamily) -> MaxFrequency:
@@ -183,7 +169,7 @@ def max_frequency(family: SetFamily) -> MaxFrequency:
     """
     if not family.masks:
         return MaxFrequency(1, 0)
-    counts = frequencies(family).counts
+    counts = frequencies(family)
     best = max(counts)
     return MaxFrequency(counts.index(best) + 1, best)
 
@@ -233,7 +219,7 @@ def frankl_witness(family: SetFamily) -> Optional[int]:
     if not family.masks:
         raise ValueError("witness undefined for the empty family")
     size = len(family.masks)
-    for e, count in enumerate(frequencies(family).counts, start=1):
+    for e, count in enumerate(frequencies(family), start=1):
         if 2 * count >= size:
             return e
     return None

@@ -11,14 +11,20 @@ Union rows for comparable pairs are omitted: with S <= T the row reduces
 to x_S <= 1, already a box row, so the feasible region is unchanged.
 Each unordered pair appears once.
 
+The program is fixed once n and a are, so `LpProblem` holds only those
+two numbers.  Each row is named by its key, ("union", S, T) with S < T,
+("frequency", e) or ("box", m), and its coefficients and right-hand side
+follow from that key and a (`LpProblem.row`); no row is stored.
+
 The solver is an exact simplex on the condensed tableau (one column
 per nonbasic variable, no slack identity block) in integer-preserving
 form: every entry is an integer over one common denominator, and each
 pivot divides exactly by the previous pivot element (Edmonds 1967,
 Bareiss 1968), so no rational arithmetic runs inside the loop.  Every
 right-hand side is positive, so the all-slack basis is feasible and no
-phase-1 is needed.  Pivoting uses the largest-coefficient rule until a
-run of degenerate pivots is detected, then falls back to Bland's rule
+phase-1 is needed, and every variable has a box row, so no solve is
+unbounded.  Pivoting uses the largest-coefficient rule until a run of
+degenerate pivots is detected, then falls back to Bland's rule
 (which cannot cycle) until progress resumes.  Rows and variables are
 ordered by mask value and ties go to the smallest variable index, so
 identical problems pivot identically and solutions are deterministic.
@@ -41,47 +47,55 @@ empty-set box row.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
-from typing import Optional
 
 from .budget import NO_BUDGET, SearchBudget
 from .certificate import DualCertificate, bar_f, make_certificate
 from .families import popcount
 
-RowKey = tuple
+RowKey = tuple  # ("union", S, T) with S < T | ("frequency", e) | ("box", m)
 
 LP_MAX_N = 9  # 2^9 = 512 variables, ~1.3e5 union rows
 
 
-@dataclass(frozen=True, slots=True)
-class Row:
-    """One <= constraint: sum of coeffs[mask] * x_mask <= rhs."""
-
-    key: RowKey  # key[0] is the row's kind: "union" | "frequency" | "box"
-    coeffs: dict[int, int]
-    rhs: int
-
-
 @dataclass(frozen=True)
 class LpProblem:
+    """The relaxation at (n, a).  `rows` names the rows in solver order
+    (union rows by (S, T), then frequency rows by e, then box rows by m)
+    and `row(key)` says what one constrains; mask m is variable m."""
+
     n: int
     a: int
-    variables: tuple[int, ...]  # all masks, ascending: mask m is column m
-    rows: tuple[Row, ...]
+
+    @property
+    def variables(self) -> range:
+        return range(1 << self.n)
 
     @cached_property
-    def rows_by_key(self) -> dict[RowKey, Row]:
-        return {r.key: r for r in self.rows}
+    def rows(self) -> tuple[RowKey, ...]:
+        full = 1 << self.n
+        unions = [("union", s, t) for s in range(full) for t in range(s + 1, full)
+                  if s | t not in (s, t)]
+        return (*unions, *(("frequency", e) for e in range(1, self.n + 1)),
+                *(("box", m) for m in range(full)))
 
-    def row_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for r in self.rows:
-            counts[r.key[0]] = counts.get(r.key[0], 0) + 1
-        return counts
+    @cached_property
+    def _row_set(self) -> frozenset[RowKey]:
+        return frozenset(self.rows)
+
+    def row(self, key: RowKey) -> tuple[dict[int, int], int]:
+        """(coefficients by mask, rhs) of the row sum_m coeffs[m] * x_m <= rhs."""
+        if key[0] == "union":
+            _, s, t = key
+            return {s: 1, t: 1, s | t: -1}, 1
+        if key[0] == "frequency":
+            bit = 1 << (key[1] - 1)
+            return {m: 1 for m in range(bit, 1 << self.n) if m & bit}, self.a
+        return {key[1]: 1}, 1
 
 
 class DualInfeasibleError(Exception):
@@ -104,38 +118,27 @@ def _check_size(n: int, a: int) -> None:
 
 
 def build_relaxation(n: int, a: int) -> LpProblem:
-    """Construct the relaxation for 1 <= n <= 9, a >= 1."""
+    """The relaxation for 1 <= n <= 9, a >= 1."""
     _check_size(n, a)
-    full = 1 << n
-    rows: list[Row] = []
-    for s in range(full):
-        for t in range(s + 1, full):
-            u = s | t
-            if u == s or u == t:
-                continue
-            rows.append(Row(("union", s, t), {s: 1, t: 1, u: -1}, 1))
-    for e in range(1, n + 1):
-        bit = 1 << (e - 1)
-        coeffs = {m: 1 for m in range(full) if m & bit}
-        rows.append(Row(("frequency", e), coeffs, a))
-    for m in range(full):
-        rows.append(Row(("box", m), {m: 1}, 1))
-    return LpProblem(n, a, tuple(range(full)), tuple(rows))
+    return LpProblem(n, a)
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # "optimal" | "unbounded" | "budget"; rhs >= 0, so x = 0 is always feasible
-    objective: Optional[Fraction]
-    primal: dict[int, Fraction] = field(default_factory=dict)
-    dual: dict[RowKey, Fraction] = field(default_factory=dict)
-    pivots: int = 0
-    seconds: float = 0.0
+    """Status "optimal" with a primal-dual pair, or "budget" with the
+    feasible basic solution reached so far (a lower bound) and no dual."""
+
+    status: str  # "optimal" | "budget"
+    objective: Fraction
+    primal: dict[int, Fraction]
+    dual: dict[RowKey, Fraction]
+    pivots: int
+    seconds: float
 
     def to_json(self) -> dict:
         return {
             "status": self.status,
-            "objective": None if self.objective is None else str(self.objective),
+            "objective": str(self.objective),
             "primal": {str(m): str(v) for m, v in sorted(self.primal.items())},
             "dual": {_key_to_str(k): str(v) for k, v in self.dual.items()},
             "pivots": self.pivots,
@@ -155,10 +158,12 @@ def _simplex_max(objective: list[int],
                  budget: SearchBudget) -> tuple:
     """Maximize objective . x over {x >= 0 : rows}, all rhs >= 0, exactly.
 
-    All right-hand sides being nonnegative, the all-slack basis is
-    feasible and pivoting starts immediately.  Returns
-    (status, value, primal list, dual list, pivots); on "budget" the
-    primal is the current feasible basic solution and the dual is empty.
+    The all-slack basis is feasible, so pivoting starts immediately.  The
+    caller bounds every variable by a box row, so a ratio test that finds
+    no row is a bug and raises AssertionError.  Returns (status, value,
+    primal list, dual list, pivots), status "optimal" or "budget"; on
+    "budget" the primal is the current feasible basic solution and the
+    dual is empty.
 
     The condensed tableau holds integers only: row i is
     [N[i][0], ..., N[i][nv-1], rhs_i], the cost row is
@@ -176,8 +181,6 @@ def _simplex_max(objective: list[int],
 
     tableau: list[list[int]] = []
     for coeffs, rhs in rows:
-        if rhs < 0:
-            raise ValueError("negative right-hand side")
         line = [0] * (nv + 1)
         for j, c in coeffs.items():
             line[j] = c
@@ -228,7 +231,7 @@ def _simplex_max(objective: list[int],
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
                     pivot_row = i
         if pivot_row is None:
-            return "unbounded", None, [], [], pivots
+            raise AssertionError("unbounded column: a variable without a box row")
 
         prow = tableau[pivot_row]
         if prow[nv] == 0:
@@ -286,16 +289,14 @@ def solve_exact(problem: LpProblem, budget: SearchBudget = NO_BUDGET) -> LpSolut
     feasible) basic solution as a lower bound and no dual.
     """
     t0 = time.perf_counter()
-    rows = [(row.coeffs, row.rhs) for row in problem.rows]
+    rows = [problem.row(key) for key in problem.rows]
     status, value, primal_list, dual_list, pivots = _simplex_max(
         [1] * len(problem.variables), rows, budget)
     elapsed = time.perf_counter() - t0
-    if status == "unbounded":
-        return LpSolution("unbounded", None, pivots=pivots, seconds=elapsed)
     primal = dict(zip(problem.variables, primal_list))
     if status == "budget":
         return LpSolution("budget", value, primal, {}, pivots, elapsed)
-    dual = {problem.rows[r].key: dual_list[r] for r in range(len(problem.rows))}
+    dual = dict(zip(problem.rows, dual_list))
     _assert_primal_feasible(problem, primal)
     return LpSolution("optimal", value, primal, dual, pivots, elapsed)
 
@@ -315,9 +316,10 @@ def _assert_primal_feasible(problem: LpProblem, primal: dict[int, Fraction]) -> 
     0 <= X[m] <= D, in integers only.
     """
     scaled, d = _over_common_denominator(primal)
-    for row in problem.rows:
-        if sum(c * scaled[m] for m, c in row.coeffs.items()) > row.rhs * d:
-            raise AssertionError(f"primal infeasible on row {row.key}")
+    for key in problem.rows:
+        coeffs, rhs = problem.row(key)
+        if sum(c * scaled[m] for m, c in coeffs.items()) > rhs * d:
+            raise AssertionError(f"primal infeasible on row {key}")
     for m, v in scaled.items():
         if not 0 <= v <= d:
             raise AssertionError(f"variable bound violated at mask {m}")
@@ -333,11 +335,11 @@ def verify_dual_bound(problem: LpProblem, dual: dict[RowKey, Fraction]) -> Fract
     denominator D, so each column sum is an integer compared with D and
     b'y is accumulated as an integer over D.  Raises DualInfeasibleError
     naming the first violated column and its exact deficit, ValueError
-    for unknown rows or negative multipliers.
+    for keys that name no row of this problem or negative multipliers.
+    Only the rows named in y are read.
     """
-    by_key = problem.rows_by_key
     for key, mult in dual.items():
-        if key not in by_key:
+        if key not in problem._row_set:
             raise ValueError(f"unknown row key {key!r} (problem/vector dimension mismatch)")
         if mult < 0:
             raise ValueError(f"dual multiplier for row {key!r} is negative: {mult}")
@@ -347,9 +349,9 @@ def verify_dual_bound(problem: LpProblem, dual: dict[RowKey, Fraction]) -> Fract
     for key, mult in scaled.items():
         if mult == 0:
             continue
-        row = by_key[key]
-        bound += mult * row.rhs
-        for mask, coeff in row.coeffs.items():
+        coeffs, rhs = problem.row(key)
+        bound += mult * rhs
+        for mask, coeff in coeffs.items():
             columns[mask] += mult * coeff
     for mask in problem.variables:
         if columns[mask] < d:
@@ -440,9 +442,7 @@ def symmetric_relaxation_value(n: int, a: int) -> tuple[Fraction, dict[int, Frac
     for k in range(n + 1):
         rows.append(({k: 1}, 1))
     objective = [comb(n, k) for k in range(n + 1)]
-    status, value, primal, _, _ = _simplex_max(objective, rows, NO_BUDGET)
-    if status != "optimal":
-        raise RuntimeError(f"collapsed relaxation did not solve: status {status}")
+    _, value, primal, _, _ = _simplex_max(objective, rows, NO_BUDGET)
     return value, {k: primal[k] for k in range(n + 1)}
 
 
@@ -487,8 +487,9 @@ def problem_to_text(problem: LpProblem) -> str:
     following line: "<kind> <rhs> <mask>:<coeff> ...", masks ascending.
     """
     lines = [f"lp n={problem.n} a={problem.a} vars={len(problem.variables)}"]
-    for row in problem.rows:
-        parts = [row.key[0], str(row.rhs)]
-        parts.extend(f"{m}:{c}" for m, c in sorted(row.coeffs.items()))
+    for key in problem.rows:
+        coeffs, rhs = problem.row(key)
+        parts = [key[0], str(rhs)]
+        parts.extend(f"{m}:{c}" for m, c in sorted(coeffs.items()))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

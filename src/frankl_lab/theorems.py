@@ -139,7 +139,7 @@ def powerset_minus_singletons(n: int) -> SetFamily:
     if not complement_is_union_closed(n, singletons):
         raise AssertionError("construction is not union-closed")
     want = (1 << (n - 1)) - 1
-    if any(c != want for c in frequencies(family).counts):
+    if any(c != want for c in frequencies(family)):
         raise AssertionError("construction frequencies are off")
     return family
 

@@ -71,6 +71,21 @@ def test_lp_command(capsys, tmp_path):
     assert text.startswith("lp n=2 a=1 vars=4")
 
 
+def test_lp_export_to_an_unopenable_path_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(capsys, "lp", "--n", "2", "--a", "1", "--export", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"frankl-lab: error: cannot write {target}: ")
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+def test_nan_time_budget_is_refused(capsys):
+    code, out, err = run_cli(capsys, "f", "--n", "6", "--a", "6", "--max-seconds", "nan")
+    assert (code, out) == (1, "")
+    assert err == "frankl-lab: error: max_seconds must be positive\n"
+
+
 def test_lp_refuses_an_empty_ground_set(capsys):
     code, out, err = run_cli(capsys, "lp", "--n", "0", "--a", "1")
     assert (code, out) == (1, "")

@@ -12,7 +12,7 @@ from frankl_lab import (DualInfeasibleError, SearchBudget, bar_f,
                         prove_diagonal_relaxation_value, solve_exact,
                         symmetric_relaxation_value, verify_dual_bound)
 from frankl_lab.families import popcount
-from frankl_lab.lp import LpProblem, Row, _assert_primal_feasible
+from frankl_lab.lp import _assert_primal_feasible
 
 F = Fraction
 
@@ -42,12 +42,29 @@ def brute_union_row_count(n):
     return sum(1 for s, t in combinations(universe, 2) if (s | t) not in (s, t))
 
 
+def row_counts(problem):
+    """Number of rows of each kind, the kind being key[0]."""
+    counts = {}
+    for key in problem.rows:
+        counts[key[0]] = counts.get(key[0], 0) + 1
+    return counts
+
+
+def row_value(problem, key, x):
+    coeffs, _ = problem.row(key)
+    return sum(c * x[m] for m, c in coeffs.items())
+
+
+def rows_hold(problem, x):
+    return all(row_value(problem, key, x) <= problem.row(key)[1] for key in problem.rows)
+
+
 # --- building ---------------------------------------------------------------
 
 def test_n1_problem_shape():
     p = build_relaxation(1, 1)
     assert len(p.variables) == 2
-    counts = p.row_counts()
+    counts = row_counts(p)
     assert counts.get("union", 0) == 0
     assert counts["frequency"] == 1
     assert counts["box"] == 2
@@ -56,18 +73,42 @@ def test_n1_problem_shape():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_union_row_count_matches_pair_enumeration(n):
     p = build_relaxation(n, 1)
-    assert p.row_counts()["union"] == brute_union_row_count(n)
+    assert row_counts(p)["union"] == brute_union_row_count(n)
 
 
 def test_n3_union_row_count_value():
-    assert build_relaxation(3, 3).row_counts()["union"] == 9
+    assert row_counts(build_relaxation(3, 3))["union"] == 9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_row_keys_match_brute_force_in_order(n):
+    masks = range(1 << n)
+    unions = [("union", s, t) for s in masks for t in masks
+              if s < t and not (s & t == s or s & t == t)]
+    expected = (unions + [("frequency", e) for e in range(1, n + 1)]
+                + [("box", m) for m in masks])
+    p = build_relaxation(n, 2)
+    assert p.rows == tuple(expected)
+    assert p.variables == range(1 << n)
+
+
+def test_rows_follow_from_their_keys_at_n3():
+    # x_S + x_T - x_{S|T} <= 1, sum of x_S over S holding e <= a, x_m <= 1
+    p = build_relaxation(3, 5)
+    assert p.row(("union", 1, 2)) == ({1: 1, 2: 1, 3: -1}, 1)
+    assert p.row(("union", 1, 6)) == ({1: 1, 6: 1, 7: -1}, 1)
+    assert p.row(("union", 3, 4)) == ({3: 1, 4: 1, 7: -1}, 1)
+    assert p.row(("union", 3, 5)) == ({3: 1, 5: 1, 7: -1}, 1)
+    assert p.row(("frequency", 1)) == ({1: 1, 3: 1, 5: 1, 7: 1}, 5)
+    assert p.row(("frequency", 2)) == ({2: 1, 3: 1, 6: 1, 7: 1}, 5)
+    assert p.row(("frequency", 3)) == ({4: 1, 5: 1, 6: 1, 7: 1}, 5)
+    for m in range(8):
+        assert p.row(("box", m)) == ({m: 1}, 1)
 
 
 def test_full_power_set_is_feasible_at_half_cap():
     p = build_relaxation(2, 2)
-    ones = {m: F(1) for m in p.variables}
-    for row in p.rows:
-        assert sum(c * ones[m] for m, c in row.coeffs.items()) <= row.rhs
+    assert rows_hold(p, {m: F(1) for m in p.variables})
 
 
 def test_build_rejects_out_of_range():
@@ -99,13 +140,13 @@ def test_exact_solver_agrees_with_scipy():
         for a in range(1, (1 << (n - 1)) + 1):
             p = build_relaxation(n, a)
             nv = 1 << n
-            rows = [r for r in p.rows if r.key[0] != "box"]
+            rows = [p.row(key) for key in p.rows if key[0] != "box"]
             A = [[0.0] * nv for _ in rows]
             b = []
-            for i, r in enumerate(rows):
-                for m, c in r.coeffs.items():
+            for i, (coeffs, rhs) in enumerate(rows):
+                for m, c in coeffs.items():
                     A[i][m] = float(c)
-                b.append(float(r.rhs))
+                b.append(float(rhs))
             res = linprog(c=[-1.0] * nv, A_ub=A, b_ub=b, bounds=(0, 1), method="highs")
             assert res.status == 0
             exact = solve_exact(p).objective
@@ -173,25 +214,8 @@ def test_time_budget_stops_with_feasible_partial_result(monkeypatch):
     assert sol.pivots == 16
     assert sol.dual == {}
     assert set(sol.primal) == set(p.variables)
-    for row in p.rows:
-        assert sum(c * sol.primal[m] for m, c in row.coeffs.items()) <= row.rhs
+    assert rows_hold(p, sol.primal)
     assert sol.objective == sum(sol.primal.values())
-
-
-def test_column_bounded_by_no_row_is_unbounded():
-    # x_1 appears in no row, so it can grow without limit
-    p = LpProblem(1, 1, (0, 1), (Row(("box", 0), {0: 1}, 1),))
-    sol = solve_exact(p)
-    assert sol.status == "unbounded"
-    assert sol.objective is None
-    assert sol.primal == {} and sol.dual == {}
-
-
-def test_negative_right_hand_side_rejected():
-    p = LpProblem(1, 1, (0, 1), (Row(("box", 0), {0: 1}, -1),
-                                 Row(("box", 1), {1: 1}, 1)))
-    with pytest.raises(ValueError):
-        solve_exact(p)
 
 
 def test_solution_json_uses_exact_strings():
@@ -240,6 +264,21 @@ def test_unknown_row_key_rejected():
         verify_dual_bound(p, {("frequency", 99): F(1)})
 
 
+@pytest.mark.parametrize("key", [
+    ("union", 1, 3),     # comparable pair: its row is a box row
+    ("union", 2, 1),     # the pair reversed
+    ("box", 4),          # mask outside [2]
+    ("frequency", 0),    # elements run from 1
+    ("union", 1, 2, 3),  # too long
+])
+def test_row_shaped_keys_that_name_no_row_are_rejected(key):
+    p = build_relaxation(2, 1)
+    y = {("box", m): F(1) for m in p.variables}
+    assert verify_dual_bound(p, y) == 4
+    with pytest.raises(ValueError, match="unknown row key"):
+        verify_dual_bound(p, {**y, key: F(1)})
+
+
 def test_box_only_dual_is_feasible_and_weak():
     p = build_relaxation(2, 2)
     y = {("box", m): F(1) for m in p.variables}
@@ -257,8 +296,7 @@ def _mixed_primal(x3):
 def test_primal_check_catches_a_row_broken_by_one_21st():
     p = build_relaxation(3, 3)
     x = _mixed_primal(F(1))
-    row = p.rows_by_key[("union", 3, 5)]
-    assert sum(c * x[m] for m, c in row.coeffs.items()) == row.rhs + F(1, 21)
+    assert row_value(p, ("union", 3, 5), x) == 1 + F(1, 21)
     with pytest.raises(AssertionError, match=r"primal infeasible on row \('union', 3, 5\)"):
         _assert_primal_feasible(p, x)
 
@@ -266,17 +304,19 @@ def test_primal_check_catches_a_row_broken_by_one_21st():
 def test_primal_check_accepts_the_row_met_with_equality():
     p = build_relaxation(3, 3)
     x = _mixed_primal(F(20, 21))
-    row = p.rows_by_key[("union", 3, 5)]
-    assert sum(c * x[m] for m, c in row.coeffs.items()) == row.rhs
+    assert row_value(p, ("union", 3, 5), x) == 1
     _assert_primal_feasible(p, x)
 
 
 @pytest.mark.parametrize("value,other", [(F(8, 7), F(2, 7)), (F(-1, 5), F(2, 5))])
 def test_primal_check_catches_a_variable_bound(value, other):
-    # no box rows, so only the bound check can see the violation; the
-    # common denominator is 7 (or 5), so each value is one unit out of range
-    p = LpProblem(1, 2, (0, 1), (Row(("frequency", 1), {1: 1}, 2),))
-    with pytest.raises(AssertionError, match="variable bound violated at mask 0"):
+    # the common denominator is 7 (or 5), so each value is one unit out
+    # of range: 8/7 breaks the box row of mask 0, while -1/5 meets every
+    # row and only the bound check can see it
+    p = build_relaxation(1, 2)
+    message = (r"primal infeasible on row \('box', 0\)" if value > 1
+               else "variable bound violated at mask 0")
+    with pytest.raises(AssertionError, match=message):
         _assert_primal_feasible(p, {0: value, 1: other})
 
 
@@ -297,9 +337,9 @@ def test_dual_check_with_mixed_denominators_and_an_int_multiplier():
 
 def _reference_primal_failure(problem, primal):
     """The first failure message of a row-by-row Fraction check, or None."""
-    for row in problem.rows:
-        if sum(c * primal[m] for m, c in row.coeffs.items()) > row.rhs:
-            return f"primal infeasible on row {row.key}"
+    for key in problem.rows:
+        if row_value(problem, key, primal) > problem.row(key)[1]:
+            return f"primal infeasible on row {key}"
     for m, v in primal.items():
         if not 0 <= v <= 1:
             return f"variable bound violated at mask {m}"
@@ -311,9 +351,9 @@ def _reference_dual_bound(problem, dual):
     columns = {m: F(0) for m in problem.variables}
     bound = F(0)
     for key, mult in dual.items():
-        row = problem.rows_by_key[key]
-        bound += mult * row.rhs
-        for m, c in row.coeffs.items():
+        coeffs, rhs = problem.row(key)
+        bound += mult * rhs
+        for m, c in coeffs.items():
             columns[m] += mult * c
     for m in problem.variables:
         if columns[m] < 1:
@@ -378,13 +418,13 @@ def scanned_certificate_dual(cert, p):
     """Reference: the certificate's rows found by scanning every row."""
     union_multiplier = {(1, 2, 3): cert.beta, (2, 2, 4): cert.gamma}
     dual = {}
-    for row in p.rows:
-        if row.key[0] == "frequency":
-            dual[row.key] = cert.alpha
-        elif row.key[0] == "union":
-            multiplier = union_multiplier.get(union_size_pattern(row.key))
+    for key in p.rows:
+        if key[0] == "frequency":
+            dual[key] = cert.alpha
+        elif key[0] == "union":
+            multiplier = union_multiplier.get(union_size_pattern(key))
             if multiplier is not None:
-                dual[row.key] = multiplier
+                dual[key] = multiplier
     dual[("box", 0)] = F(1)
     return dual
 
@@ -450,8 +490,7 @@ def test_collapsed_levels_lift_to_feasible_primal():
     p = build_relaxation(4, 3)
     value, levels = symmetric_relaxation_value(4, 3)
     x = lift_symmetric_primal(p, levels)
-    for row in p.rows:
-        assert sum(c * x[m] for m, c in row.coeffs.items()) <= row.rhs
+    assert rows_hold(p, x)
     assert sum(x.values()) == value
 
 

@@ -230,6 +230,12 @@ def test_f_argument_validation():
         SearchBudget(max_nodes=0)
 
 
+@pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan")])
+def test_time_budget_must_be_positive(seconds):
+    with pytest.raises(ValueError, match="max_seconds must be positive"):
+        SearchBudget(max_seconds=seconds)
+
+
 def test_f_result_json_schema():
     blob = compute_f(2, 1).to_json()
     assert blob["n"] == 2 and blob["a"] == 1 and blob["value"] == 2
