@@ -1,8 +1,10 @@
 """Run limits shared by the f/g searches (`max_nodes` counts search nodes)
-and the exact simplex (it counts pivots); both return partial results."""
+and the exact simplex (it counts pivots), and `Meter`, the one clock that
+spends them and times every result; both engines return partial results."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,3 +24,33 @@ class SearchBudget:
 
 
 NO_BUDGET = SearchBudget()
+
+
+class Meter:
+    """Counts one run's steps against a budget and times the run.  The
+    clock is read on the first step, then every `every` steps: 4096 search
+    nodes (microseconds each) or 16 pivots (milliseconds each)."""
+
+    __slots__ = ("budget", "every", "nodes", "t0", "exhausted")
+
+    def __init__(self, budget: SearchBudget = NO_BUDGET, every: int = 1):
+        self.budget = budget
+        self.every = every
+        self.nodes = 0
+        self.t0 = time.perf_counter()
+        self.exhausted = False
+
+    def tick(self) -> bool:
+        """Count one step; True while within budget.  Once spent, it stays spent."""
+        self.nodes += 1
+        b = self.budget
+        if b.max_nodes is not None and self.nodes > b.max_nodes:
+            self.exhausted = True
+        elif b.max_seconds is not None and (self.nodes - 1) % self.every == 0:
+            if time.perf_counter() - self.t0 > b.max_seconds:
+                self.exhausted = True
+        return not self.exhausted
+
+    @property
+    def seconds(self) -> float:
+        return time.perf_counter() - self.t0

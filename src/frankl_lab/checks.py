@@ -8,7 +8,6 @@ The pytest suite asserts these same results one by one, and the CLI
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,6 +15,7 @@ from . import certificate as cert_mod
 from . import lp as lp_mod
 from . import search as search_mod
 from . import theorems as thm_mod
+from .budget import Meter
 
 F_DIAGONAL = {1: 2, 2: 4, 3: 5, 4: 8}
 BOUND_TABLE_7_16 = (24, 30, 37, 46, 55, 64, 75, 86, 99, 112)
@@ -39,13 +39,13 @@ class CheckResult:
 
 
 def _timed(criterion: int, name: str, limit: float, fn) -> CheckResult:
-    t0 = time.perf_counter()
+    meter = Meter()
     try:
         ok, detail = fn()
     except Exception as exc:  # a crash is a failure, not an abort
-        return CheckResult(criterion, name, False, time.perf_counter() - t0,
+        return CheckResult(criterion, name, False, meter.seconds,
                            limit, f"raised {type(exc).__name__}: {exc}")
-    seconds = time.perf_counter() - t0
+    seconds = meter.seconds
     if ok and seconds >= limit:
         ok, detail = False, f"{detail}; exceeded runtime limit"
     return CheckResult(criterion, name, ok, seconds, limit, detail)

@@ -7,9 +7,9 @@ Exit codes: 0 success, 1 invalid arguments, 2 budget exhausted with
 partial output, 3 verification violation (a theorem contradiction, i.e.
 a bug).
 
-Identical invocations print byte-identical JSON when --stable is given:
-the flag drops the wall-clock sidecar fields ("seconds"), which are the
-only nondeterministic part of any payload.
+Only the JSON of f, g, lp and check has wall-clock fields ("seconds"), the
+one nondeterministic part of any payload; only those four take --stable,
+which drops them so that identical invocations print byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def _cmd_bound(args) -> int:
         label = {"n": args.n, "a": args.a}
     floor = math.floor(value)
     if args.format == "json":
-        _emit_json({**label, "floor": floor, "exact": str(value), "notes": notes}, args.stable)
+        _emit_json({**label, "floor": floor, "exact": str(value), "notes": notes})
     else:
         print(f"{floor} (exact {value})")
         for note in notes:
@@ -144,7 +144,7 @@ def _cmd_certify(args) -> int:
         if bound != expected:
             dual_exit = EXIT_VIOLATION
     if args.format == "json":
-        _emit_json(payload, args.stable)
+        _emit_json(payload)
     else:
         print(f"certificate n={args.n}: alpha={cert.alpha} beta={cert.beta} gamma={cert.gamma}")
         for check in report.checks:
@@ -184,7 +184,7 @@ def _cmd_verify(args) -> int:
     else:
         reports = [run_claim(args.claim, **kwargs)]
     if args.format == "json":
-        _emit_json({"reports": [r.to_json() for r in reports]}, args.stable)
+        _emit_json({"reports": [r.to_json() for r in reports]})
     else:
         for r in reports:
             print(f"{r.claim}: {r.status}")
@@ -240,7 +240,7 @@ def _cmd_table(args) -> int:
     elif args.format == "json":
         _emit_json({"what": args.what,
                     "rows": [{"a": a, "value": v} for a, v in rows],
-                    "notes": notes}, args.stable)
+                    "notes": notes})
     else:
         for a, v in rows:
             print(f"{a:3d}  {v}")
@@ -273,9 +273,10 @@ def _cmd_check(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VIOLATION
 
 
-def _add_common(parser, budget=True, seed=False, formats=("text", "json")):
+def _add_common(parser, budget=True, seed=False, stable=False, formats=("text", "json")):
     if formats:
         parser.add_argument("--format", choices=formats, default="text")
+    if stable:
         parser.add_argument("--stable", action="store_true",
                             help="omit wall-clock fields so identical runs emit identical bytes")
     if budget:
@@ -295,20 +296,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("f", help="compute f(n,a) with a witness")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    _add_common(p)
+    _add_common(p, stable=True)
     p.set_defaults(fn=_cmd_f)
 
     p = sub.add_parser("g", help="compute g(n,m) with a witness")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p)
+    _add_common(p, stable=True)
     p.set_defaults(fn=_cmd_g)
 
     p = sub.add_parser("lp", help="build and solve the exact LP relaxation")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--export", help="also write the sparse text form to this path")
-    _add_common(p)
+    _add_common(p, stable=True)
     p.set_defaults(fn=_cmd_lp)
 
     p = sub.add_parser("bound", help="evaluate the certified upper bound")
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_witness)
 
     p = sub.add_parser("check", help="run the full desk-scale acceptance battery")
-    _add_common(p, budget=False)
+    _add_common(p, budget=False, stable=True)
     p.set_defaults(fn=_cmd_check)
 
     return parser

@@ -35,7 +35,7 @@ def mask_from_elements(elements: Iterable[int], n: int) -> int:
     """Build a bitmask from 1-indexed elements, validating the range."""
     mask = 0
     for e in elements:
-        if not 1 <= e <= n:
+        if type(e) is not int or not 1 <= e <= n:
             raise ValueError(f"element {e} outside ground set [{n}]")
         mask |= 1 << (e - 1)
     return mask
@@ -51,10 +51,6 @@ def elements_of_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 @dataclass(frozen=True)
 class SetFamily:
     """A collection of distinct subsets of [n], as sorted bitmasks."""
@@ -63,12 +59,12 @@ class SetFamily:
     masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_GROUND_SIZE:
+        if type(self.n) is not int or not 1 <= self.n <= MAX_GROUND_SIZE:
             raise ValueError(f"ground size must be in [1, {MAX_GROUND_SIZE}], got {self.n}")
         limit = 1 << self.n
         prev = -1
         for m in self.masks:
-            if not isinstance(m, int) or not 0 <= m < limit:
+            if type(m) is not int or not 0 <= m < limit:
                 raise ValueError(f"mask {m!r} outside [0, 2^{self.n})")
             if m <= prev:
                 raise ValueError("masks must be strictly increasing (distinct and sorted)")
@@ -251,7 +247,11 @@ def family_from_json(obj: dict | str) -> SetFamily:
     if has_masks == has_sets:
         raise ValueError("family JSON needs exactly one of 'masks' or 'sets'")
     if has_masks:
+        if not isinstance(obj["masks"], list):
+            raise ValueError("'masks' must be a list of integers")
         return SetFamily.from_masks(n, obj["masks"])
+    if not isinstance(obj["sets"], list) or not all(isinstance(s, list) for s in obj["sets"]):
+        raise ValueError("'sets' must be a list of lists of elements")
     return SetFamily.from_sets(n, obj["sets"])
 
 

@@ -46,16 +46,14 @@ empty-set box row.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
 
-from .budget import NO_BUDGET, SearchBudget
+from .budget import NO_BUDGET, Meter, SearchBudget
 from .certificate import DualCertificate, bar_f, make_certificate
-from .families import popcount
 
 RowKey = tuple  # ("union", S, T) with S < T | ("frequency", e) | ("box", m)
 
@@ -155,15 +153,16 @@ _DEGENERATE_RUN_LIMIT = 40
 
 def _simplex_max(objective: list[int],
                  rows: list[tuple[dict[int, int], int]],
-                 budget: SearchBudget) -> tuple:
+                 meter: Meter) -> tuple:
     """Maximize objective . x over {x >= 0 : rows}, all rhs >= 0, exactly.
 
     The all-slack basis is feasible, so pivoting starts immediately.  The
     caller bounds every variable by a box row, so a ratio test that finds
-    no row is a bug and raises AssertionError.  Returns (status, value,
-    primal list, dual list, pivots), status "optimal" or "budget"; on
-    "budget" the primal is the current feasible basic solution and the
-    dual is empty.
+    no row is a bug and raises AssertionError.  Each pivot ticks the
+    meter first; a solve with no entering column is optimal and takes no
+    tick.  Returns (status, value, primal list, dual list, pivots),
+    status "optimal" or "budget"; on "budget" the primal is the current
+    feasible basic solution and the dual is empty.
 
     The condensed tableau holds integers only: row i is
     [N[i][0], ..., N[i][nv-1], rhs_i], the cost row is
@@ -175,7 +174,6 @@ def _simplex_max(objective: list[int],
     comparison below decides exactly as it would on the rational
     tableau.
     """
-    t0 = time.perf_counter()
     nv = len(objective)
     m_rows = len(rows)
 
@@ -207,10 +205,7 @@ def _simplex_max(objective: list[int],
         candidates = [c for c in range(nv) if cost[c] < 0]
         if not candidates:
             break  # optimal: the budget stops only a solve that can still improve
-        if budget.max_nodes is not None and pivots >= budget.max_nodes:
-            return "budget", Fraction(cost[nv], det), _primal(), [], pivots
-        if (budget.max_seconds is not None and pivots % 16 == 0
-                and time.perf_counter() - t0 > budget.max_seconds):
+        if not meter.tick():
             return "budget", Fraction(cost[nv], det), _primal(), [], pivots
         if bland:
             enter = min(candidates, key=nonbasic.__getitem__)
@@ -288,11 +283,11 @@ def solve_exact(problem: LpProblem, budget: SearchBudget = NO_BUDGET) -> LpSolut
     On budget exhaustion returns status "budget" with the current (still
     feasible) basic solution as a lower bound and no dual.
     """
-    t0 = time.perf_counter()
+    meter = Meter(budget, every=16)
     rows = [problem.row(key) for key in problem.rows]
     status, value, primal_list, dual_list, pivots = _simplex_max(
-        [1] * len(problem.variables), rows, budget)
-    elapsed = time.perf_counter() - t0
+        [1] * len(problem.variables), rows, meter)
+    elapsed = meter.seconds
     primal = dict(zip(problem.variables, primal_list))
     if status == "budget":
         return LpSolution("budget", value, primal, {}, pivots, elapsed)
@@ -442,13 +437,13 @@ def symmetric_relaxation_value(n: int, a: int) -> tuple[Fraction, dict[int, Frac
     for k in range(n + 1):
         rows.append(({k: 1}, 1))
     objective = [comb(n, k) for k in range(n + 1)]
-    _, value, primal, _, _ = _simplex_max(objective, rows, NO_BUDGET)
+    _, value, primal, _, _ = _simplex_max(objective, rows, Meter())
     return value, {k: primal[k] for k in range(n + 1)}
 
 
 def lift_symmetric_primal(problem: LpProblem, levels: dict[int, Fraction]) -> dict[int, Fraction]:
     """Expand per-cardinality values t_k into a full vector x_S = t_{|S|}."""
-    return {m: levels[popcount(m)] for m in problem.variables}
+    return {m: levels[m.bit_count()] for m in problem.variables}
 
 
 def prove_diagonal_relaxation_value(n: int) -> Fraction:

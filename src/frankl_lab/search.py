@@ -46,41 +46,13 @@ strictly better family).  All are deterministic run to run.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .budget import NO_BUDGET, SearchBudget
+from .budget import NO_BUDGET, Meter, SearchBudget
 from .families import (SetFamily, complement_is_union_closed, family_to_json,
-                       is_union_closed, max_frequency, popcount)
-
-
-class _Ticker:
-    """Budget bookkeeping shared by the search loops."""
-
-    __slots__ = ("budget", "nodes", "t0", "exhausted")
-
-    def __init__(self, budget: SearchBudget):
-        self.budget = budget
-        self.nodes = 0
-        self.t0 = time.perf_counter()
-        self.exhausted = False
-
-    def tick(self) -> bool:
-        """Count one node; True while within budget."""
-        self.nodes += 1
-        b = self.budget
-        if b.max_nodes is not None and self.nodes > b.max_nodes:
-            self.exhausted = True
-        elif b.max_seconds is not None and self.nodes % 4096 == 0:
-            if time.perf_counter() - self.t0 > b.max_seconds:
-                self.exhausted = True
-        return not self.exhausted
-
-    @property
-    def seconds(self) -> float:
-        return time.perf_counter() - self.t0
+                       is_union_closed, max_frequency)
 
 
 @dataclass(frozen=True)
@@ -226,7 +198,7 @@ _RELABEL_CAP = 5040
 def _branch_order(n: int) -> list[int]:
     """Masks by descending popcount, then ascending value; the empty set
     lands last, and S|T of two incomparable masks precedes both."""
-    return sorted(range(1 << n), key=lambda m: (-popcount(m), m))
+    return sorted(range(1 << n), key=lambda m: (-m.bit_count(), m))
 
 
 class _IsomorphRejector:
@@ -266,8 +238,8 @@ class _IsomorphRejector:
         self.elems = [tuple(e for e in range(n) if mask >> e & 1) for mask in range(1 << n)]
         self.boundary = [False] * len(order)
         for i, mask in enumerate(order):
-            k = popcount(mask)
-            if 2 <= k < n and popcount(order[i - 1]) != k:
+            k = mask.bit_count()
+            if 2 <= k < n and order[i - 1].bit_count() != k:
                 self.boundary[i] = True
         self.seen: set[tuple[int, tuple[int, ...]]] = set()
 
@@ -364,7 +336,7 @@ class _IsomorphRejector:
         return twin
 
 
-def _depth_first(n: int, budget: SearchBudget, visit) -> _Ticker:
+def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
     """Depth-first search over the union-closed families on [n].
 
     Node i decides order[i] of _branch_order(n): first it includes the
@@ -387,7 +359,7 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> _Ticker:
     node pushes its exclude frame, a None marker that undoes the include,
     then its include frame.  Once the budget has run out, each frame left
     is still counted, then dropped.
-    Returns the ticker: node count, seconds, and whether the budget ran out.
+    Returns the meter: node count, seconds, and whether the budget ran out.
     """
     if n > _BB_MAX_N:
         raise ValueError(f"branch-and-bound search capped at n = {_BB_MAX_N}, got {n}")
@@ -395,7 +367,7 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> _Ticker:
     iso = _IsomorphRejector(n, order)
     elems = [iso.elems[mask] for mask in order]
     boundary = iso.boundary
-    tick = _Ticker(budget)
+    meter = Meter(budget, every=4096)
     freq = [0] * n
     included: list[int] = []
     inc_bits = 0
@@ -409,7 +381,7 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> _Ticker:
                 freq[e] -= 1
             continue
         i, size, used, top = frame
-        if not tick.tick():
+        if not meter.tick():
             continue
         cap = visit(i, size, used, top, included)
         if cap is None or (boundary[i] and iso.repeated(i, included)):
@@ -433,7 +405,7 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> _Ticker:
             inc_bits |= 1 << mask
             stack.append(None)
             stack.append((i + 1, size + 1, used + len(es), new_top))
-    return tick
+    return meter
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +429,10 @@ def _bb_f(n: int, a: int, budget: SearchBudget) -> SearchResult:
             return None
         return a
 
-    tick = _depth_first(n, budget, visit)
+    meter = _depth_first(n, budget, visit)
     witness = SetFamily(n, best_masks)
-    return SearchResult(n, "a", a, best_size, witness, not tick.exhausted, tick.nodes,
-                        tick.seconds)
+    return SearchResult(n, "a", a, best_size, witness, not meter.exhausted, meter.nodes,
+                        meter.seconds)
 
 
 def compute_f(n: int, a: int, budget: SearchBudget = NO_BUDGET) -> SearchResult:
@@ -473,15 +445,15 @@ def compute_f(n: int, a: int, budget: SearchBudget = NO_BUDGET) -> SearchResult:
         raise ValueError(f"ground size must be >= 1, got {n}")
     if a < 0:
         raise ValueError(f"frequency cap must be >= 0, got {a}")
-    t0 = time.perf_counter()
+    meter = Meter()
     if a >= 1 << (n - 1):
         # the full power set is feasible and no family can be larger
         return SearchResult(n, "a", a, 1 << n, SetFamily.power_set(n), True, 1,
-                            time.perf_counter() - t0)
+                            meter.seconds)
     if n <= EXHAUSTIVE_MAX_N:
         value, masks = _exhaustive_f(n, a)
         return SearchResult(n, "a", a, value, SetFamily(n, masks), True, 1 << (1 << n),
-                            time.perf_counter() - t0)
+                            meter.seconds)
     result = _bb_f(n, a, budget)
     _validate_f_witness(result)
     return result
@@ -509,10 +481,10 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> SearchResult:
     full = 1 << n
     k = full - m
     half = 1 << (n - 1)
-    order = sorted(range(full), key=lambda x: (popcount(x), x))
+    order = sorted(range(full), key=lambda x: (x.bit_count(), x))
     elems = [[e for e in range(n) if u >> e & 1] for u in order]
     below = [[u ^ (1 << e) for e in es] for u, es in zip(order, elems)]  # (|U|-1)-subsets
-    tick = _Ticker(budget)
+    meter = Meter(budget, every=4096)
     best_value: Optional[int] = None
     best_missing: tuple[int, ...] = ()
     missing: list[int] = []
@@ -522,7 +494,7 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> SearchResult:
     def rec(start: int) -> None:
         nonlocal best_value, best_missing
         if len(missing) == k:
-            if not tick.tick() or not complement_is_union_closed(n, frozenset(mset)):
+            if not meter.tick() or not complement_is_union_closed(n, frozenset(mset)):
                 return
             # among equal values the lexicographically smallest family is
             # the one whose sorted missing tuple is largest
@@ -536,7 +508,7 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> SearchResult:
             size = len(elems[j])
             # keeping U's (|U|-1)-subsets to at most one present takes
             # |U| - 1 of them missing; sizes only grow from here
-            if size - 1 > len(missing) or tick.exhausted:
+            if size - 1 > len(missing) or meter.exhausted:
                 return
             if size >= 2 and size - len(mset.intersection(below[j])) >= 2:
                 continue
@@ -556,15 +528,15 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> SearchResult:
     if best_value is None:
         raise AssertionError(f"no union-closed family of size {m} on [{n}]")
     witness = SetFamily(n, tuple(x for x in range(full) if x not in best_missing))
-    return SearchResult(n, "m", m, best_value, witness, not tick.exhausted, tick.nodes,
-                        tick.seconds)
+    return SearchResult(n, "m", m, best_value, witness, not meter.exhausted, meter.nodes,
+                        meter.seconds)
 
 
 def _top_slice_family(n: int, m: int) -> tuple[int, ...]:
     """A union-closed family of exactly m sets: drop the 2^n - m smallest
     masks in (popcount, value) order from the power set.  Dropping always
     removes an inclusion-minimal member, which preserves closure."""
-    drop = sorted(range(1 << n), key=lambda x: (popcount(x), x))[: (1 << n) - m]
+    drop = sorted(range(1 << n), key=lambda x: (x.bit_count(), x))[: (1 << n) - m]
     dropped = set(drop)
     return tuple(x for x in range(1 << n) if x not in dropped)
 
@@ -588,10 +560,10 @@ def _bb_g(n: int, m: int, budget: SearchBudget) -> SearchResult:
             return None
         return best_value - 1
 
-    tick = _depth_first(n, budget, visit)
+    meter = _depth_first(n, budget, visit)
     witness = SetFamily(n, best_masks)
-    return SearchResult(n, "m", m, best_value, witness, not tick.exhausted, tick.nodes,
-                        tick.seconds)
+    return SearchResult(n, "m", m, best_value, witness, not meter.exhausted, meter.nodes,
+                        meter.seconds)
 
 
 def compute_g(n: int, m: int, budget: SearchBudget = NO_BUDGET) -> SearchResult:
@@ -605,14 +577,14 @@ def compute_g(n: int, m: int, budget: SearchBudget = NO_BUDGET) -> SearchResult:
         raise ValueError(f"ground size must be >= 1, got {n}")
     if not 1 <= m <= 1 << n:
         raise ValueError(f"family size must be in [1, 2^{n}], got {m}")
-    t0 = time.perf_counter()
     if (1 << n) - m <= n:
         result = _g_by_complement(n, m, budget)
     elif n <= EXHAUSTIVE_MAX_N:
+        meter = Meter()
         _, by_size = _exhaustive_tables(n)
         value, masks = by_size[m]
         result = SearchResult(n, "m", m, value, SetFamily(n, masks), True, 1 << (1 << n),
-                              time.perf_counter() - t0)
+                              meter.seconds)
     else:
         result = _bb_g(n, m, budget)
     _validate_g_witness(result)

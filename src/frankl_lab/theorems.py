@@ -33,8 +33,7 @@ from itertools import chain
 
 from .budget import NO_BUDGET, SearchBudget
 from .families import (SetFamily, complement, complement_is_union_closed,
-                       frequencies, is_union_closed, max_frequency, popcount,
-                       random_union_closed)
+                       frequencies, is_union_closed, max_frequency, random_union_closed)
 from .reports import VerificationReport, report
 from .search import (EXHAUSTIVE_MAX_N, compute_f, compute_g,
                      enumerate_union_closed)
@@ -64,7 +63,7 @@ def _missing_subsets(family: SetFamily, missing: tuple[int, ...]) -> Verificatio
     bits = family.member_bits
     violations = []
     for s in missing:
-        if popcount(s) < 2:
+        if s.bit_count() < 2:
             continue
         count = 0
         m = s
@@ -85,7 +84,7 @@ def _missing_covering(family: SetFamily, missing: tuple[int, ...]) -> Verificati
     union = 0
     for s in missing:
         union |= s
-    k, l = len(missing), popcount(union)
+    k, l = len(missing), union.bit_count()
     violations = []
     if k < l:
         violations.append({"missing_count": k, "covered_elements": l})

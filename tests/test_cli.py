@@ -2,10 +2,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from itertools import count
+from types import SimpleNamespace
 
 import pytest
 
-from frankl_lab import family_from_json, is_union_closed, max_frequency
+from frankl_lab import CLAIMS, family_from_json, is_union_closed, max_frequency
 from frankl_lab.cli import main
 
 
@@ -59,6 +61,28 @@ def test_g_command_json(capsys):
     assert blob["proven_optimal"] is True
 
 
+def test_f_time_budget_exit_code(capsys, monkeypatch):
+    # a clock that advances 0.1 s per reading stops the search at its 4,097th node
+    ticks = count()
+    monkeypatch.setattr("frankl_lab.budget.time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks) / 10))
+    code, out, _ = run_cli(capsys, "f", "--n", "6", "--a", "6", "--max-seconds", "0.15")
+    assert code == 2
+    assert "lower bound (budget hit)" in out
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    (("g", "--n", "4", "--m", "13"), 0, "g(4,13) = 8 [proven optimal], 64 nodes"),
+    (("g", "--n", "5", "--m", "20", "--max-nodes", "100"), 2,
+     "g(5,20) = 12 [upper bound (budget hit)], 116 nodes"),
+    (("lp", "--n", "3", "--a", "3"), 0, "f_r(3,3) = 13/2 (~6.5000), floor 6, 12 pivots"),
+    (("lp", "--n", "4", "--a", "4", "--max-nodes", "5"), 2,
+     "status budget: best feasible value 2 after 5 pivots"),
+])
+def test_g_and_lp_text_format(capsys, argv, code, line):
+    assert run_cli(capsys, *argv) == (code, line + "\n", "")
+
+
 def test_lp_command(capsys, tmp_path):
     export = tmp_path / "n2a1.lp"
     code, out, _ = run_cli(capsys, "lp", "--n", "2", "--a", "1",
@@ -93,8 +117,9 @@ def test_lp_refuses_an_empty_ground_set(capsys):
 
 
 # first 16 hex digits of the SHA-256 of each command's stdout under
-# --format json --stable: they pin every primal and dual value of the LP
-# layer and the order of the dual's keys
+# --format json (plus --stable for lp, the one whose JSON has a clock
+# field): they pin every primal and dual value of the LP layer and the
+# order of the dual's keys
 LP_LAYER_DIGESTS = {
     "lp --n 4 --a 4": "7bd51003fff0d894",
     "lp --n 5 --a 5": "79b908c1718823e3",
@@ -105,9 +130,21 @@ LP_LAYER_DIGESTS = {
 
 @pytest.mark.parametrize("command", LP_LAYER_DIGESTS)
 def test_lp_layer_json_is_pinned(capsys, command):
-    code, out, _ = run_cli(capsys, *command.split(), "--format", "json", "--stable")
+    stable = ("--stable",) if command.startswith("lp ") else ()
+    code, out, _ = run_cli(capsys, *command.split(), "--format", "json", *stable)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == LP_LAYER_DIGESTS[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--a", "7"), ("certify", "--n", "7"), ("verify", "--claim", "thm-g"),
+    ("table", "--what", "bound"),
+])
+def test_stable_is_offered_only_with_a_clock_field(capsys, argv):
+    # only the JSON of f, g, lp and check has a "seconds" field to drop
+    code, out, err = run_cli(capsys, *argv, "--format", "json", "--stable")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --stable" in err
 
 
 def test_certify_with_dual(capsys):
@@ -126,6 +163,14 @@ def test_verify_claim(capsys):
     code, out, _ = run_cli(capsys, "verify", "--claim", "thm-g", "--n", "4")
     assert code == 0
     assert "thm-g: verified" in out
+
+
+def test_verify_all_runs_every_claim(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--claim", "all", "--format", "json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["claim"] for r in reports] == list(CLAIMS)
+    assert {r["status"] for r in reports} == {"verified"}
 
 
 def test_verify_violation_exit_code(capsys, monkeypatch):
@@ -308,6 +353,22 @@ def test_check_command_exit_codes(capsys, monkeypatch):
     assert main(["check"]) == 3
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" in out
+
+
+def test_check_json_drops_seconds_only_under_stable(capsys, monkeypatch):
+    from frankl_lab.checks import CheckResult
+
+    ok = CheckResult(1, "stub", True, 0.5, 1.0, "fine")
+    monkeypatch.setattr("frankl_lab.cli.checks_mod.run_all", lambda: [ok])
+    code, out, _ = run_cli(capsys, "check", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"results": [{
+        "criterion": 1, "name": "stub", "passed": True, "seconds": 0.5, "limit": 1.0,
+        "detail": "fine"}]}
+    code, out, _ = run_cli(capsys, "check", "--format", "json", "--stable")
+    assert code == 0
+    assert out == ('{"results":[{"criterion":1,"detail":"fine","limit":1.0,'
+                   '"name":"stub","passed":true}]}\n')
 
 
 def test_console_entry_point():

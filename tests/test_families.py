@@ -203,3 +203,14 @@ def test_json_rejects_ambiguous_or_missing_encoding():
         family_from_json({"n": 2, "masks": [0], "sets": [[]]})
     with pytest.raises(ValueError):
         family_from_json({"n": 2, "masks": [0, 0]})
+
+
+@pytest.mark.parametrize("blob", [
+    {"n": True, "masks": [0]}, {"n": 2, "masks": [True]}, {"n": 2, "sets": [[True]]},
+    {"n": 2.0, "masks": []}, {"n": 2, "sets": [[1.0]]}, {"n": 2, "masks": None},
+    {"n": 2, "sets": [1]},
+])
+def test_json_rejects_non_integer_values(blob):
+    # JSON booleans are not numbers here, and no malformed value gets as far as a TypeError
+    with pytest.raises(ValueError):
+        family_from_json(blob)

@@ -11,7 +11,6 @@ from frankl_lab import (DualInfeasibleError, SearchBudget, bar_f,
                         make_certificate, problem_to_text,
                         prove_diagonal_relaxation_value, solve_exact,
                         symmetric_relaxation_value, verify_dual_bound)
-from frankl_lab.families import popcount
 from frankl_lab.lp import _assert_primal_feasible
 
 F = Fraction
@@ -206,7 +205,7 @@ def test_time_budget_stops_with_feasible_partial_result(monkeypatch):
     # a clock that advances 0.1 s per reading: the clock is read every 16
     # pivots, so a 0.15 s budget passes the check at 0 and stops at 16
     ticks = count()
-    monkeypatch.setattr("frankl_lab.lp.time",
+    monkeypatch.setattr("frankl_lab.budget.time",
                         SimpleNamespace(perf_counter=lambda: next(ticks) / 10))
     p = build_relaxation(4, 4)
     sol = solve_exact(p, SearchBudget(max_seconds=0.15))
@@ -411,7 +410,7 @@ def test_integer_checks_match_fraction_reference_on_the_n7_certificate():
 def union_size_pattern(key):
     """(|S|, |T|, |S u T|) of a union row key, the smaller size first."""
     _, s, t = key
-    return (*sorted((popcount(s), popcount(t))), popcount(s | t))
+    return (*sorted((s.bit_count(), t.bit_count())), (s | t).bit_count())
 
 
 def scanned_certificate_dual(cert, p):

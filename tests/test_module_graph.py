@@ -66,3 +66,15 @@ def test_no_module_sets_the_recursion_limit(module):
         elif isinstance(node, ast.alias):
             names.add(node.name)
     assert "setrecursionlimit" not in names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_budget_reads_the_clock(module):
+    # `budget.Meter` spends every wall-clock limit and times every result
+    imported = set()
+    for node in ast.walk(parse(module)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert ("time" in imported) == (module == "budget")

@@ -2,7 +2,8 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import count, permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -219,6 +220,21 @@ def test_f_budget_exhaustion_returns_valid_lower_bound():
     assert is_union_closed(result.witness)
     assert max_frequency(result.witness).count <= 5
     assert len(result.witness) == result.value <= 9
+
+
+def test_f_time_budget_returns_valid_lower_bound(monkeypatch):
+    # a clock that advances 0.1 s per reading: the node meter reads it on
+    # the first node and then every 4,096 nodes, so a 0.15 s budget is
+    # spent at node 4,097, long before the 53,394 nodes of the full search
+    ticks = count()
+    monkeypatch.setattr("frankl_lab.budget.time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks) / 10))
+    result = compute_f(6, 6, SearchBudget(max_seconds=0.15))
+    assert not result.proven_optimal
+    assert 4096 < result.nodes < 53394
+    assert is_union_closed(result.witness)
+    assert max_frequency(result.witness).count <= 6
+    assert len(result.witness) == result.value <= 10
 
 
 def test_f_argument_validation():

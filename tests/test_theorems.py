@@ -195,6 +195,18 @@ def test_run_claim_dispatch_and_json():
         run_claim("nonsense")
 
 
+@pytest.mark.parametrize("claim,kwargs", [
+    ("thm-f-2n-minus-n", {"ns": (3,)}),
+    ("monotonicity", {"caps": (1,), "n_max": 3}),
+    ("fg-duality", {"ns": (3,)}),
+])
+def test_run_claim_on_a_small_scope(claim, kwargs):
+    report = run_claim(claim, **kwargs)
+    assert report.claim == claim
+    assert report.verified
+    assert len(report.scope["parts"]) == 1
+
+
 def test_run_claim_lemmas_small_corpus():
     report = run_claim("missing-subsets", ns=(5,), count=40)
     assert report.verified
