@@ -16,16 +16,27 @@ Conventions used across the package:
 Ground sizes are capped at n = 16: every mask fits in 16 bits and a full
 membership table fits in a single 65536-bit integer.
 
-The module also holds the closure predicates, frequency counts and
-seeded random families that the other layers share.
+The closure predicate, the closure and the frequency counts work on
+whole tables, a few big-integer operations each:
+  - the membership table (`SetFamily.member_bits`) of F has bit m set iff
+    mask m is a member;
+  - element plane e of [n] is the table of all masks that hold bit e,
+    so the popcount of (table & plane e) counts element e+1 in F;
+  - the OR-image of F under a mask S, the table of {T | S : T in F}, takes
+    one shift-and-mask per element of S: shifting a table by 2^e moves
+    every mask without bit e onto the mask with it, and plane e keeps
+    exactly those and the masks that already held bit e.
+
+The module also holds the seeded random families that the other layers
+share.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 MAX_GROUND_SIZE = 16
@@ -51,12 +62,17 @@ def elements_of_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetFamily:
-    """A collection of distinct subsets of [n], as sorted bitmasks."""
+    """A collection of distinct subsets of [n], as sorted bitmasks.
+
+    The membership table is built on first use of `member_bits` and kept
+    in a slot; a family has no per-instance dict.
+    """
 
     n: int
     masks: tuple[int, ...]
+    _table: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.n) is not int or not 1 <= self.n <= MAX_GROUND_SIZE:
@@ -85,6 +101,21 @@ class SetFamily:
         return cls.from_masks(n, (mask_from_elements(s, n) for s in sets))
 
     @classmethod
+    def from_member_bits(cls, n: int, bits: int) -> "SetFamily":
+        """The family whose membership table is `bits`; it keeps the table."""
+        if bits < 0:
+            raise ValueError("a membership table is a non-negative integer")
+        masks = []
+        rest = bits
+        while rest:
+            low = rest & -rest
+            masks.append(low.bit_length() - 1)
+            rest ^= low
+        family = cls(n, tuple(masks))
+        object.__setattr__(family, "_table", bits)
+        return family
+
+    @classmethod
     def power_set(cls, n: int) -> "SetFamily":
         return cls(n, tuple(range(1 << n)))
 
@@ -92,13 +123,15 @@ class SetFamily:
     def empty(cls, n: int) -> "SetFamily":
         return cls(n, ())
 
-    @cached_property
+    @property
     def member_bits(self) -> int:
         """Membership table as one integer: bit m set iff mask m is a member."""
-        bits = 0
-        for m in self.masks:
-            bits |= 1 << m
-        return bits
+        if self._table is None:
+            bits = 0
+            for m in self.masks:
+                bits |= 1 << m
+            object.__setattr__(self, "_table", bits)
+        return self._table
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -114,6 +147,32 @@ class SetFamily:
         return tuple(elements_of_mask(m) for m in self.masks)
 
 
+@lru_cache(maxsize=None)
+def _planes(n: int) -> tuple[int, ...]:
+    """Element planes of [n]: entry e has bit m set iff mask m holds bit e.
+
+    Plane e repeats a block of 2^e clear bits under 2^e set ones, with
+    period 2^(e+1); dividing the all-ones table by 2^(2^(e+1)) - 1 gives
+    the integer with a 1 at the start of each period.
+    """
+    full = (1 << (1 << n)) - 1
+    return tuple((((1 << (1 << e)) - 1) << (1 << e)) * (full // ((1 << (2 << e)) - 1))
+                 for e in range(n))
+
+
+def _or_image(bits: int, s: int, planes: tuple[int, ...]) -> int:
+    """Membership table of {m | s : m in bits}, one shift-and-mask per element of s.
+
+    A shift by 2^e carries a mask that holds bit e off plane e, where the
+    mask is dropped; the copy left in place keeps it.
+    """
+    while s:
+        low = s & -s
+        bits = (bits | (bits << low)) & planes[low.bit_length() - 1]
+        s ^= low
+    return bits
+
+
 class MaxFrequency(NamedTuple):
     element: int
     count: int
@@ -122,39 +181,48 @@ class MaxFrequency(NamedTuple):
 def is_union_closed(family: SetFamily) -> bool:
     """True iff S | T is a member for every pair of members.
 
-    Pairwise O(|F|^2) check with bitset membership lookup; exits on the
-    first missing union.
+    F is union-closed iff its OR-image under each member lies in F.  Only
+    generators, the members that are not a union of other members, need
+    the test: closure under S and under T gives closure under S | T.
+    Members are walked in ascending mask order, which puts every proper
+    subset of a member before it, so a member that is a union of others
+    comes after all of them.  `reached` holds every union of the
+    generators met so far; a member outside it is a generator.
     """
-    masks = family.masks
     bits = family.member_bits
-    for i, a in enumerate(masks):
-        for b in masks[i + 1 :]:
-            u = a | b
-            if u != b and not (bits >> u) & 1:
-                return False
+    planes = _planes(family.n)
+    reached = 0
+    for s in family.masks:
+        if (reached >> s) & 1:
+            continue
+        image = _or_image(bits, s, planes)
+        if image | bits != bits:
+            return False
+        reached |= _or_image(reached, s, planes) | (1 << s)
     return True
 
 
 def union_closure(family: SetFamily) -> SetFamily:
-    """Smallest union-closed superfamily: fixed point of adding pairwise unions."""
-    known = set(family.masks)
-    members: list[int] = []
-    queue = list(family.masks)
-    while queue:
-        x = queue.pop()
-        for y in members:
-            u = x | y
-            if u not in known:
-                known.add(u)
-                queue.append(u)
-        members.append(x)
-    return SetFamily(family.n, tuple(sorted(known)))
+    """Smallest union-closed superfamily.
+
+    The closure of the seeds is the set of unions of their nonempty
+    subsets, built one seed at a time in a table of those unions.  As in
+    `is_union_closed`, seeds come in ascending mask order, so a seed that
+    is a union of others finds itself in the table already and adds
+    nothing; a generator adds itself and the table's OR-image under it.
+    """
+    planes = _planes(family.n)
+    closed = 0
+    for s in family.masks:
+        if not (closed >> s) & 1:
+            closed |= _or_image(closed, s, planes) | (1 << s)
+    return SetFamily.from_member_bits(family.n, closed)
 
 
 def frequencies(family: SetFamily) -> tuple[int, ...]:
     """Exact per-element membership counts: entry e-1 is |{S in F : e in S}|."""
-    masks = family.masks
-    return tuple([len([m for m in masks if m >> e & 1]) for e in range(family.n)])
+    bits = family.member_bits
+    return tuple([(bits & plane).bit_count() for plane in _planes(family.n)])
 
 
 def max_frequency(family: SetFamily) -> MaxFrequency:
@@ -171,10 +239,15 @@ def max_frequency(family: SetFamily) -> MaxFrequency:
 
 
 def complement(family: SetFamily) -> SetFamily:
-    """All masks of the full power set on [n] that are not members."""
-    bits = family.member_bits
-    missing = tuple(m for m in range(1 << family.n) if not (bits >> m) & 1)
-    return SetFamily(family.n, missing)
+    """All masks of the full power set on [n] that are not members: the
+    runs between consecutive members, in order."""
+    missing: list[int] = []
+    start = 0
+    for m in family.masks:
+        missing.extend(range(start, m))
+        start = m + 1
+    missing.extend(range(start, 1 << family.n))
+    return SetFamily(family.n, tuple(missing))
 
 
 def _submasks(mask: int) -> Iterator[int]:

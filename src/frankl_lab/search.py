@@ -114,15 +114,6 @@ def _union_closed_bitsets(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _family_from_bitset(n: int, bits: int) -> SetFamily:
-    masks = []
-    while bits:
-        low = bits & -bits
-        masks.append(low.bit_length() - 1)
-        bits ^= low
-    return SetFamily(n, tuple(masks))
-
-
 def enumerate_union_closed(n: int) -> Iterator[SetFamily]:
     """Yield every union-closed subfamily of 2^[n] once, in mask-bitset order.
 
@@ -131,7 +122,7 @@ def enumerate_union_closed(n: int) -> Iterator[SetFamily]:
     if n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_MAX_N}, got {n}")
     for bits in _union_closed_bitsets(n):
-        yield _family_from_bitset(n, bits)
+        yield SetFamily.from_member_bits(n, bits)
 
 
 def _bitset_stats(n: int, bits: int) -> tuple[int, int]:
@@ -165,7 +156,7 @@ def _exhaustive_tables(n: int) -> tuple[dict, dict]:
     by_size: dict[int, tuple[int, tuple[int, ...]]] = {}
     for bits in _union_closed_bitsets(n):
         size, mf = _bitset_stats(n, bits)
-        masks = tuple(_family_from_bitset(n, bits).masks)
+        masks = SetFamily.from_member_bits(n, bits).masks
         cur = by_freq.get(mf)
         if cur is None or size > cur[0] or (size == cur[0] and masks < cur[1]):
             by_freq[mf] = (size, masks)

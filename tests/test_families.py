@@ -1,15 +1,19 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frankl_lab import (SetFamily, complement, family_from_json,
                         family_to_json, frankl_witness, frequencies,
-                        is_union_closed, max_frequency, union_closure)
-from frankl_lab.families import elements_of_mask, mask_from_elements
+                        is_union_closed, max_frequency, random_union_closed,
+                        union_closure)
+from frankl_lab.families import _planes, elements_of_mask, mask_from_elements
 
-from conftest import closure_reference, is_union_closed_reference, to_setset
+from conftest import (all_subfamilies, closure_reference,
+                      is_union_closed_reference, to_setset)
 
 
 @st.composite
@@ -34,12 +38,32 @@ def test_masks_must_be_sorted_distinct_and_in_range():
         SetFamily(17, ())
     with pytest.raises(ValueError):
         SetFamily.from_masks(3, [1, 1])
+    with pytest.raises(ValueError):
+        SetFamily.from_member_bits(2, 1 << 4)
+    with pytest.raises(ValueError):
+        SetFamily.from_member_bits(2, -1)
 
 
 def test_empty_set_is_a_legal_member():
     fam = SetFamily.from_sets(1, [(), (1,)])
     assert fam.masks == (0, 1)
     assert len(fam) == 2
+
+
+@given(families())
+@settings(max_examples=50, deadline=None)
+def test_membership_table_round_trip(fam):
+    assert SetFamily.from_member_bits(fam.n, fam.member_bits) == fam
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_element_planes_match_their_definition(n):
+    # plane e has bit m set iff mask m holds element e+1
+    planes = _planes(n)
+    assert len(planes) == n
+    for e, plane in enumerate(planes):
+        table = bin(plane)[2:].zfill(1 << n)[::-1]
+        assert table == "".join("1" if m >> e & 1 else "0" for m in range(1 << n))
 
 
 def test_mask_element_round_trip():
@@ -61,6 +85,37 @@ def test_empty_family_is_union_closed_vacuously():
 
 def test_missing_pair_union_detected():
     assert not is_union_closed(SetFamily.from_sets(2, [(1,), (2,)]))
+
+
+def test_every_subfamily_of_the_cube_on_3_matches_the_oracle():
+    count = 0
+    for sets in all_subfamilies(3):
+        fam = SetFamily.from_sets(3, sets)
+        assert is_union_closed(fam) == is_union_closed_reference(sets)
+        assert to_setset(union_closure(fam)) == closure_reference(sets)
+        count += 1
+    assert count == 256
+
+
+@pytest.mark.parametrize("n", range(6, 12))
+def test_closure_and_closedness_match_the_oracle_beyond_n5(n):
+    # plane shifts reach 2^(n-1) bits, 1,024 at n = 11; each closure is
+    # checked as it is, one member short and one mask over
+    rng = random.Random(n)
+    outcomes = set()
+    for _ in range(6):
+        seeds = SetFamily.from_masks(n, rng.sample(range(1 << n), rng.randint(1, 6)))
+        closed = union_closure(seeds)
+        assert to_setset(closed) == closure_reference(to_setset(seeds))
+        assert set(complement(closed).masks) == set(range(1 << n)) - set(closed.masks)
+        gone = rng.choice(closed.masks)
+        short = SetFamily(n, tuple(m for m in closed.masks if m != gone))
+        over = SetFamily.from_masks(n, closed.masks + (rng.choice(complement(closed).masks),))
+        for fam in (closed, short, over):
+            closedness = is_union_closed(fam)
+            assert closedness == is_union_closed_reference(to_setset(fam))
+            outcomes.add(closedness)
+    assert outcomes == {True, False}
 
 
 # --- union_closure -----------------------------------------------------------
@@ -112,6 +167,7 @@ def test_removing_an_inclusion_minimal_member_keeps_closure(fam):
 
 def test_power_set_frequencies():
     assert tuple(frequencies(SetFamily.power_set(3))) == (4, 4, 4)
+    assert frequencies(SetFamily.power_set(16)) == (1 << 15,) * 16
 
 
 def test_example_family_frequencies(example_family):
@@ -123,9 +179,13 @@ def test_empty_family_frequencies_are_zero():
 
 
 @given(families())
+@example(random_union_closed(11, 7, Fraction(20, 1 << 11)))
+@example(SetFamily.power_set(16))
 @settings(max_examples=75, deadline=None)
 def test_frequency_sum_equals_total_membership(fam):
-    assert sum(frequencies(fam)) == sum(len(s) for s in fam.sets())
+    sets = fam.sets()
+    assert sum(frequencies(fam)) == sum(len(s) for s in sets)
+    assert frequencies(fam) == tuple(sum(e in s for s in sets) for e in range(1, fam.n + 1))
 
 
 def test_max_frequency_of_pruned_power_set():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from frankl_lab import (SetFamily, check_missing_covering,
@@ -213,6 +216,14 @@ def test_run_claim_lemmas_small_corpus():
     assert report.scope["families_checked"] > 40  # exhaustive part included
     report = run_claim("missing-covering", ns=(5,), count=40)
     assert report.verified
+
+
+def test_lemma_corpus_is_pinned():
+    # the default lemma corpus, seeded random_union_closed closures
+    # included, reproduces byte for byte
+    blob = json.dumps([r.to_json() for r in run_lemma_claim()], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "965a09807c99ed24e6211ccc59377363821f304407a1020ccc0e0a754a9d620f")
 
 
 def test_run_lemma_claim_checks_every_pair_in_one_pass(monkeypatch):
