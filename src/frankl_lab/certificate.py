@@ -98,13 +98,9 @@ class CertificateReport:
         }
 
 
-def make_certificate(n: int) -> DualCertificate:
-    """Build the exact certificate for ground size n >= 5.
-
-    n <= 4 is rejected: C(n-2,2) = 0 leaves gamma undefined.  The bound
-    itself is only valid for n >= 7 (gamma < 0 below that); `bar_f`
-    enforces the stronger guard.
-    """
+def _multipliers(n: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(alpha, beta, gamma) for ground size n >= 5, self-tested against
+    their expanded polynomial forms."""
     if n <= 4:
         raise ValueError(f"certificate needs n >= 5 (gamma undefined below), got {n}")
     denom = 3 + 3 * comb(n - 1, 2)
@@ -116,7 +112,17 @@ def make_certificate(n: int) -> DualCertificate:
     poly = 3 * n * n - 9 * n + 12
     if alpha != Fraction(n * n - 3 * n + 8, poly) or beta != Fraction(4, poly):
         raise AssertionError("certificate multiplier forms disagree")
+    return alpha, beta, gamma
 
+
+def make_certificate(n: int) -> DualCertificate:
+    """Build the exact certificate for ground size n >= 5.
+
+    n <= 4 is rejected: C(n-2,2) = 0 leaves gamma undefined.  The bound
+    itself is only valid for n >= 7 (gamma < 0 below that); `bar_f`
+    enforces the stronger guard.
+    """
+    alpha, beta, gamma = _multipliers(n)
     coeff: dict[int, Fraction] = {
         0: Fraction(1),
         1: alpha + comb(n - 1, 2) * beta,
@@ -163,13 +169,8 @@ def bar_f(n: int, a: int) -> Fraction:
         raise ValueError(f"bound invalid below n = 7 (gamma < 0), got n = {n}")
     if a < 1:
         raise ValueError(f"frequency cap must be >= 1, got {a}")
-    cert = make_certificate(n)
-    return (
-        n * a * cert.alpha
-        + 3 * comb(n, 3) * cert.beta
-        + 3 * comb(n, 4) * cert.gamma
-        + 1
-    )
+    alpha, beta, gamma = _multipliers(n)
+    return n * a * alpha + 3 * comb(n, 3) * beta + 3 * comb(n, 4) * gamma + 1
 
 
 def bar_f_diag(a: int) -> Fraction:

@@ -14,7 +14,9 @@ Each unordered pair appears once.
 The program is fixed once n and a are, so `LpProblem` holds only those
 two numbers.  Each row is named by its key, ("union", S, T) with S < T,
 ("frequency", e) or ("box", m), and its coefficients and right-hand side
-follow from that key and a (`LpProblem.row`); no row is stored.
+follow from that key and a (`LpProblem.row`); no row is stored.  Whether
+a key names a row follows from its shape alone (`LpProblem.has_row`), so
+only the simplex and the text export list every key (`LpProblem.rows`).
 
 The solver is an exact simplex on the condensed tableau (one column
 per nonbasic variable, no slack identity block) in integer-preserving
@@ -36,7 +38,10 @@ upper bound on the LP optimum (weak duality, exact).  Both this check
 and the primal feasibility check run in integers: the vector is scaled
 once to integers over the lcm D of its denominators, and every row or
 column is then compared against its bound times D, so no rational
-arithmetic runs inside a loop over rows or columns.  The certificate
+arithmetic runs inside a loop over rows or columns.  The dual check
+reads only the rows its vector names; the primal check reads every row
+straight off the scaled vector, screening the union rows of each S with
+one max over T, and makes no row key or coefficient dict.  The certificate
 multipliers map onto this interface via `certificate_to_dual`, which
 names their rows directly: alpha on each frequency row, beta on the union
 row of each split of a 3-subset into a singleton and a pair, gamma on the
@@ -51,6 +56,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
+from operator import sub
 
 from .budget import NO_BUDGET, Meter, SearchBudget
 from .certificate import DualCertificate, bar_f, make_certificate
@@ -81,9 +87,17 @@ class LpProblem:
         return (*unions, *(("frequency", e) for e in range(1, self.n + 1)),
                 *(("box", m) for m in range(full)))
 
-    @cached_property
-    def _row_set(self) -> frozenset[RowKey]:
-        return frozenset(self.rows)
+    def has_row(self, key: RowKey) -> bool:
+        """Whether key names a row of this problem, decided by its shape."""
+        full = 1 << self.n
+        match key:
+            case ("union", int(s), int(t)):
+                return 0 <= s < t < full and s | t != t
+            case ("frequency", int(e)):
+                return 1 <= e <= self.n
+            case ("box", int(m)):
+                return 0 <= m < full
+        return False
 
     def row(self, key: RowKey) -> tuple[dict[int, int], int]:
         """(coefficients by mask, rhs) of the row sum_m coeffs[m] * x_m <= rhs."""
@@ -306,15 +320,33 @@ def _over_common_denominator(values: dict) -> tuple[dict, int]:
 def _assert_primal_feasible(problem: LpProblem, primal: dict[int, Fraction]) -> None:
     """Raise AssertionError at the first row, then the first bound, that x breaks.
 
-    x is scaled once to integers X over one common denominator D, so each
-    row is checked as sum(c * X[m]) <= rhs * D and each bound as
-    0 <= X[m] <= D, in integers only.
+    Rows are taken in solver order and every one is checked.  x is scaled
+    once to integers X over one common denominator D, held in a list
+    indexed by mask, so each row is checked as sum(c * X[m]) <= rhs * D
+    and each bound as 0 <= X[m] <= D, in integers only; no row key or
+    coefficient dict is made.  The union rows of one S are screened
+    together: X[S] + max over T > S of (X[T] - X[S|T]) <= D.  The
+    screen also covers the comparable T (S|T == T), which have no union
+    row, but there the sum is X[S], bounded by the box row of S, so only
+    an S that fails the screen walks its T in order to name the row.
     """
     scaled, d = _over_common_denominator(primal)
-    for key in problem.rows:
-        coeffs, rhs = problem.row(key)
-        if sum(c * scaled[m] for m, c in coeffs.items()) > rhs * d:
-            raise AssertionError(f"primal infeasible on row {key}")
+    full = 1 << problem.n
+    x = [scaled[m] for m in range(full)]
+    for s in range(full - 1):
+        xs = x[s]
+        if xs + max(map(sub, x[s + 1:], [x[s | t] for t in range(s + 1, full)])) <= d:
+            continue
+        for t in range(s + 1, full):
+            if s | t != t and xs + x[t] - x[s | t] > d:
+                raise AssertionError(f"primal infeasible on row {('union', s, t)}")
+    for e in range(1, problem.n + 1):
+        bit = 1 << (e - 1)
+        if sum(v for m, v in enumerate(x) if m & bit) > problem.a * d:
+            raise AssertionError(f"primal infeasible on row {('frequency', e)}")
+    for m, v in enumerate(x):
+        if v > d:
+            raise AssertionError(f"primal infeasible on row {('box', m)}")
     for m, v in scaled.items():
         if not 0 <= v <= d:
             raise AssertionError(f"variable bound violated at mask {m}")
@@ -331,10 +363,11 @@ def verify_dual_bound(problem: LpProblem, dual: dict[RowKey, Fraction]) -> Fract
     b'y is accumulated as an integer over D.  Raises DualInfeasibleError
     naming the first violated column and its exact deficit, ValueError
     for keys that name no row of this problem or negative multipliers.
-    Only the rows named in y are read.
+    Each key is checked by its shape (`LpProblem.has_row`), so only the
+    rows named in y are read and `problem.rows` is never built.
     """
     for key, mult in dual.items():
-        if key not in problem._row_set:
+        if not problem.has_row(key):
             raise ValueError(f"unknown row key {key!r} (problem/vector dimension mismatch)")
         if mult < 0:
             raise ValueError(f"dual multiplier for row {key!r} is negative: {mult}")

@@ -4,6 +4,8 @@ from itertools import combinations, count
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from frankl_lab import (DualInfeasibleError, SearchBudget, bar_f,
                         build_relaxation, certificate_dual_bound,
@@ -278,6 +280,33 @@ def test_row_shaped_keys_that_name_no_row_are_rejected(key):
         verify_dual_bound(p, {**y, key: F(1)})
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_has_row_agrees_with_the_listed_rows(n):
+    p = build_relaxation(n, 2)
+    listed = set(p.rows)
+    full = 1 << n
+    keys = [("union", s, t) for s in range(-1, full + 1) for t in range(-1, full + 1)]
+    keys += [("frequency", e) for e in range(0, n + 2)]
+    keys += [("box", m) for m in range(-1, full + 1)]
+    assert sum(key in listed for key in keys) == len(listed)
+    for key in keys:
+        assert p.has_row(key) == (key in listed), key
+
+
+def test_has_row_accepts_bools_and_rejects_floats():
+    # bool is an int (True == 1); a float is not a mask, though 1.0 == 1
+    p = build_relaxation(2, 1)
+    assert p.has_row(("box", True)) and p.has_row(("frequency", True))
+    assert not p.has_row(("union", False, 3))  # comparable: 0 | 3 == 3
+    assert p.has_row(("union", True, 2))
+    assert not p.has_row(("box", 1.0))
+    assert not p.has_row(("union", 1.0, 2))
+    assert not p.has_row("box")
+    y = {("box", m): F(1) for m in p.variables}
+    with pytest.raises(ValueError, match="unknown row key"):
+        verify_dual_bound(p, {**y, ("frequency", 1.0): F(1)})
+
+
 def test_box_only_dual_is_feasible_and_weak():
     p = build_relaxation(2, 2)
     y = {("box", m): F(1) for m in p.variables}
@@ -403,6 +432,48 @@ def test_integer_checks_match_fraction_reference_on_the_n7_certificate():
     primal = lift_symmetric_primal(p, symmetric_relaxation_value(7, 7)[1])
     assert _reference_dual_bound(p, dual) == F(387, 16)
     _assert_checks_match_reference(p, primal, dual)
+
+
+@pytest.mark.parametrize("n", [8, pytest.param(9, marks=pytest.mark.slow)])
+def test_integer_checks_match_fraction_reference_on_larger_certificates(n):
+    p = build_relaxation(n, n)
+    dual = certificate_to_dual(make_certificate(n), p)
+    primal = lift_symmetric_primal(p, symmetric_relaxation_value(n, n)[1])
+    assert _reference_dual_bound(p, dual) == bar_f(n, n)
+    _assert_checks_match_reference(p, primal, dual)
+
+
+# entries in [-1/5, 6/5], so that a union, frequency or box row or a bound
+# can each be the first to fail; the examples pin one of each
+_ENTRIES = st.sampled_from([F(0), F(1)]) | st.fractions(F(-1, 5), F(6, 5), max_denominator=10)
+
+
+@st.composite
+def small_primals(draw):
+    n = draw(st.integers(1, 4))
+    a = draw(st.integers(1, 1 << n))
+    values = draw(st.lists(_ENTRIES, min_size=1 << n, max_size=1 << n))
+    return n, a, dict(enumerate(values))
+
+
+@given(small_primals())
+@settings(max_examples=200, deadline=None)
+@example((2, 1, {0: F(0), 1: F(1), 2: F(1), 3: F(0)}))      # union row (1, 2)
+@example((2, 1, {0: F(0), 1: F(1), 2: F(1), 3: F(1)}))      # frequency row 1
+@example((1, 2, {0: F(6, 5), 1: F(0)}))                     # box row 0
+@example((1, 1, {0: F(-1, 5), 1: F(0)}))                    # bound at mask 0
+@example((2, 2, {m: F(1, 2) for m in range(4)}))            # feasible
+def test_primal_check_matches_fraction_reference_on_random_vectors(case):
+    n, a, primal = case
+    p = build_relaxation(n, a)
+    assert _primal_failure(p, primal) == _reference_primal_failure(p, primal)
+
+
+def test_diagonal_proof_never_lists_the_rows():
+    p = build_relaxation(9, 9)
+    assert verify_dual_bound(p, certificate_to_dual(make_certificate(9), p)) == F(1100, 29)
+    _assert_primal_feasible(p, lift_symmetric_primal(p, symmetric_relaxation_value(9, 9)[1]))
+    assert "rows" not in vars(p)
 
 
 # --- certificate as dual ---------------------------------------------------------
