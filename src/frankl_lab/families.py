@@ -184,21 +184,24 @@ def is_union_closed(family: SetFamily) -> bool:
     F is union-closed iff its OR-image under each member lies in F.  Only
     generators, the members that are not a union of other members, need
     the test: closure under S and under T gives closure under S | T.
-    Members are walked in ascending mask order, which puts every proper
-    subset of a member before it, so a member that is a union of others
-    comes after all of them.  `reached` holds every union of the
-    generators met so far; a member outside it is a generator.
+    `reached` holds every union of the generators met so far, and each
+    round takes the lowest member outside it: a few table operations per
+    generator, none per member.  That member is a generator.  Its proper
+    subsets are lower masks, every lower member is reached already, and
+    `reached` is closed under unions, so a union of members below it
+    would be reached too.
     """
     bits = family.member_bits
     planes = _planes(family.n)
     reached = 0
-    for s in family.masks:
-        if (reached >> s) & 1:
-            continue
-        image = _or_image(bits, s, planes)
-        if image | bits != bits:
+    rest = bits
+    while rest:
+        low = rest & -rest
+        s = low.bit_length() - 1
+        if _or_image(bits, s, planes) | bits != bits:
             return False
-        reached |= _or_image(reached, s, planes) | (1 << s)
+        reached |= _or_image(reached, s, planes) | low
+        rest = bits & ~reached
     return True
 
 
@@ -248,34 +251,6 @@ def complement(family: SetFamily) -> SetFamily:
         start = m + 1
     missing.extend(range(start, 1 << family.n))
     return SetFamily(family.n, tuple(missing))
-
-
-def _submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, including 0 and mask itself."""
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
-
-
-def complement_is_union_closed(n: int, missing_set: frozenset[int]) -> bool:
-    """Is 2^[n] minus the given masks union-closed?
-
-    Fails iff some missing mask U equals S | T for present S, T; it
-    suffices to scan S over submasks of U and ask for any present T with
-    U \\ S <= T <= U.
-    """
-    for u in missing_set:
-        for s in _submasks(u):
-            if s == u or s in missing_set:
-                continue
-            rest = u & ~s
-            for w in _submasks(s):
-                if (rest | w) not in missing_set:
-                    return False  # forced union: S | (rest|w) = u, both present
-    return True
 
 
 def frankl_witness(family: SetFamily) -> Optional[int]:

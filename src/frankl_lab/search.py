@@ -32,9 +32,10 @@ Three engines:
                ascending (popcount, value) order.  A choice is admissible
                iff no missing mask is a union of two present ones; a
                missing U with two present (|U|-1)-subsets is cut as soon
-               as it is chosen, and every complete choice is checked in
-               full.  The objective is 2^(n-1) minus the least-covered
-               element's cover count.
+               as it is chosen, and a complete choice is tested by the
+               equivalent cover rule: no missing U != 0 is covered by its
+               present proper subsets.  The objective is 2^(n-1) minus the
+               least-covered element's cover count.
 
 Witness policy: exhaustive scans and the complement search return the
 lexicographically smallest optimal family; the kernel's f and g searches
@@ -51,8 +52,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .budget import NO_BUDGET, Meter, SearchBudget
-from .families import (SetFamily, complement_is_union_closed, family_to_json,
-                       is_union_closed, max_frequency)
+from .families import SetFamily, complement, family_to_json, is_union_closed, max_frequency
 
 
 @dataclass(frozen=True)
@@ -125,23 +125,6 @@ def enumerate_union_closed(n: int) -> Iterator[SetFamily]:
         yield SetFamily.from_member_bits(n, bits)
 
 
-def _bitset_stats(n: int, bits: int) -> tuple[int, int]:
-    """(size, max element frequency) of a family bitset."""
-    size = 0
-    freq = [0] * n
-    g = bits
-    while g:
-        low = g & -g
-        mask = low.bit_length() - 1
-        g ^= low
-        size += 1
-        while mask:
-            lo = mask & -mask
-            freq[lo.bit_length() - 1] += 1
-            mask ^= lo
-    return size, (max(freq) if freq else 0)
-
-
 @lru_cache(maxsize=None)
 def _exhaustive_tables(n: int) -> tuple[dict, dict]:
     """Best families per max-frequency class and per exact size, n <= 4.
@@ -155,8 +138,8 @@ def _exhaustive_tables(n: int) -> tuple[dict, dict]:
     by_freq: dict[int, tuple[int, tuple[int, ...]]] = {}
     by_size: dict[int, tuple[int, tuple[int, ...]]] = {}
     for bits in _union_closed_bitsets(n):
-        size, mf = _bitset_stats(n, bits)
-        masks = SetFamily.from_member_bits(n, bits).masks
+        family = SetFamily.from_member_bits(n, bits)
+        size, mf, masks = len(family), max_frequency(family).count, family.masks
         cur = by_freq.get(mf)
         if cur is None or size > cur[0] or (size == cur[0] and masks < cur[1]):
             by_freq[mf] = (size, masks)
@@ -467,7 +450,9 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> SearchResult:
     missing U with |U| >= 2 is pruned as soon as two of its
     (|U|-1)-subsets are present, since their union is U; all of those
     subsets come before U in the order, so the prune is exact.  Each
-    complete choice is a candidate, checked for closure in full.
+    complete choice is a candidate, checked by _complement_closed.  The
+    incumbent starts at the top slice, the first candidate met, so a
+    budget stop before it still returns a family.
     """
     full = 1 << n
     k = full - m
@@ -476,8 +461,9 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> SearchResult:
     elems = [[e for e in range(n) if u >> e & 1] for u in order]
     below = [[u ^ (1 << e) for e in es] for u, es in zip(order, elems)]  # (|U|-1)-subsets
     meter = Meter(budget, every=4096)
-    best_value: Optional[int] = None
-    best_missing: tuple[int, ...] = ()
+    top = SetFamily(n, _top_slice_family(n, m))
+    best_value = max_frequency(top).count
+    best_missing = complement(top).masks
     missing: list[int] = []
     mset: set[int] = set()
     cover = [0] * n  # cover[e]: the missing masks that contain e
@@ -485,14 +471,13 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> SearchResult:
     def rec(start: int) -> None:
         nonlocal best_value, best_missing
         if len(missing) == k:
-            if not meter.tick() or not complement_is_union_closed(n, frozenset(mset)):
+            if not meter.tick() or not _complement_closed(missing, mset):
                 return
             # among equal values the lexicographically smallest family is
             # the one whose sorted missing tuple is largest
             key = tuple(sorted(missing))
             value = half - min(cover)
-            if (best_value is None or value < best_value
-                    or (value == best_value and key > best_missing)):
+            if value < best_value or (value == best_value and key > best_missing):
                 best_value, best_missing = value, key
             return
         for j in range(start, full - (k - len(missing)) + 1):
@@ -516,11 +501,27 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> SearchResult:
 
     rec(0)
     del rec  # the closure refers to itself: free it and its search state now, not at a GC pass
-    if best_value is None:
-        raise AssertionError(f"no union-closed family of size {m} on [{n}]")
     witness = SetFamily(n, tuple(x for x in range(full) if x not in best_missing))
     return SearchResult(n, "m", m, best_value, witness, not meter.exhausted, meter.nodes,
                         meter.seconds)
+
+
+def _complement_closed(missing: list[int], mset: set[int]) -> bool:
+    """Is the power set minus `missing` (also given as the set `mset`)
+    union-closed?  Not iff some missing U != 0 is covered by its present
+    proper subsets: a missing S | T of present S and T is, and adding a
+    cover up one subset at a time passes from a present union to a
+    missing one, the union of two present sets."""
+    for u in missing:
+        covered = 0
+        s = u
+        while s:
+            s = (s - 1) & u
+            if s not in mset:
+                covered |= s
+        if u and covered == u:
+            return False
+    return True
 
 
 def _top_slice_family(n: int, m: int) -> tuple[int, ...]:

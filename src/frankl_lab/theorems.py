@@ -32,8 +32,8 @@ from fractions import Fraction
 from itertools import chain
 
 from .budget import NO_BUDGET, SearchBudget
-from .families import (SetFamily, complement, complement_is_union_closed,
-                       frequencies, is_union_closed, max_frequency, random_union_closed)
+from .families import (SetFamily, complement, frequencies, is_union_closed, max_frequency,
+                       random_union_closed)
 from .reports import VerificationReport, report
 from .search import (EXHAUSTIVE_MAX_N, compute_f, compute_g,
                      enumerate_union_closed)
@@ -96,10 +96,11 @@ def verify_g_theorem(n: int, budget: SearchBudget = NO_BUDGET) -> VerificationRe
     """g(n, 2^n - i) = 2^(n-1) for every i in 0..n-1; n in 3..6.
 
     These sizes go to the complement search, pruned by the
-    missing-subsets lemma; at n = 6 all six together take about 0.1 s
+    missing-subsets lemma; at n = 6 all six together take about 0.08 s
     (g(6,59) visits 4,281 candidates).  n = 7 is left out: its largest
-    gap alone, g(7,122), visits 47,180 candidates (~1 s).  Budget
-    exhaustion downgrades the report to skipped rather than failing it.
+    gap alone, g(7,122), visits 47,180 candidates (0.8-1.2 s on 2 cores).
+    Budget exhaustion downgrades the report to skipped rather than
+    failing it.
     """
     if not 3 <= n <= 6:
         raise ValueError(f"g-theorem verifier runs for 3 <= n <= 6, got {n}")
@@ -135,7 +136,7 @@ def powerset_minus_singletons(n: int) -> SetFamily:
     family = SetFamily(n, masks)
     if len(family) != (1 << n) - n:
         raise AssertionError("construction size is off")
-    if not complement_is_union_closed(n, singletons):
+    if not is_union_closed(family):
         raise AssertionError("construction is not union-closed")
     want = (1 << (n - 1)) - 1
     if any(c != want for c in frequencies(family)):

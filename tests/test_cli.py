@@ -71,6 +71,26 @@ def test_f_time_budget_exit_code(capsys, monkeypatch):
     assert "lower bound (budget hit)" in out
 
 
+def test_g_complement_budget_spent_before_the_first_candidate(capsys, monkeypatch):
+    # a clock that advances 0.1 s per reading is past a 1 us budget at the
+    # first node, so the complement search keeps its top-slice seed
+    ticks = count()
+    monkeypatch.setattr("frankl_lab.budget.time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks) / 10))
+    code, out, _ = run_cli(capsys, "g", "--n", "7", "--m", "122", "--max-seconds", "0.000001",
+                           "--format", "json")
+    assert code == 2
+    blob = json.loads(out)
+    witness = family_from_json(blob["witness"])
+    assert blob["proven_optimal"] is False
+    assert len(witness) == 122 and is_union_closed(witness)
+    assert max_frequency(witness).count == blob["value"]
+    code, out, _ = run_cli(capsys, "verify", "--claim", "thm-g", "--n", "6",
+                           "--max-seconds", "0.000001", "--format", "json")
+    assert code == 2
+    assert [r["status"] for r in json.loads(out)["reports"]] == ["skipped"]
+
+
 @pytest.mark.parametrize("argv,code,line", [
     (("g", "--n", "4", "--m", "13"), 0, "g(4,13) = 8 [proven optimal], 64 nodes"),
     (("g", "--n", "5", "--m", "20", "--max-nodes", "100"), 2,

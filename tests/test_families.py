@@ -118,6 +118,17 @@ def test_closure_and_closedness_match_the_oracle_beyond_n5(n):
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("n", [12, 14, 16])
+def test_closedness_of_dense_tables(n):
+    # a singleton is a union only of its own subsets, so the power set
+    # stays closed without its singletons; without {1, 2} it misses {1} | {2}
+    def power_set_minus(*gone):
+        return SetFamily(n, tuple(m for m in range(1 << n) if m not in gone))
+
+    assert is_union_closed(power_set_minus(*(1 << e for e in range(n))))
+    assert not is_union_closed(power_set_minus(0b11))
+
+
 # --- union_closure -----------------------------------------------------------
 
 def test_closure_adds_missing_union():

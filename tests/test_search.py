@@ -2,15 +2,16 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import count, permutations
+from itertools import combinations, count, permutations
 from types import SimpleNamespace
 
 import pytest
 
 from frankl_lab import (SearchBudget, SetFamily, bar_f, check_fg_duality,
-                        compute_f, compute_g, enumerate_union_closed,
+                        complement, compute_f, compute_g, enumerate_union_closed,
                         frankl_witness, is_union_closed, max_frequency,
                         random_union_closed)
+from frankl_lab.search import _complement_closed
 
 from conftest import all_subfamilies, is_union_closed_reference
 
@@ -339,6 +340,56 @@ def test_g_complement_search_reaches_n7():
     result = compute_g(7, 122)
     assert result.value == 64
     assert result.proven_optimal
+
+
+@pytest.mark.parametrize("n,m,budget,value,nodes,proven,missing", [
+    (5, 28, None, 16, 465, True, (16, 20, 24, 28)),
+    (6, 60, None, 32, 1_130, True, (32, 40, 48, 56)),
+    (6, 59, None, 32, 4_281, True, (32, 36, 40, 48, 56)),
+    (6, 58, None, 31, 14_658, True, (32, 33, 34, 36, 40, 48)),
+    (6, 58, 7, 32, 8, False, (0, 1, 2, 4, 8, 32)),
+    (6, 58, 100, 32, 101, False, (0, 1, 2, 4, 32, 48)),
+])
+def test_complement_path_is_pinned(n, m, budget, value, nodes, proven, missing):
+    # value, candidate count and the witness's missing masks of the
+    # complement search in its fixed order
+    result = compute_g(n, m, SearchBudget(max_nodes=budget))
+    assert (result.value, result.nodes, result.proven_optimal) == (value, nodes, proven)
+    assert complement(result.witness).masks == missing
+
+
+def _complement_is_closed_reference(n, missing):
+    return is_union_closed(SetFamily(n, tuple(m for m in range(1 << n) if m not in missing)))
+
+
+def test_complement_leaf_rule_matches_is_union_closed():
+    # every missing set at n <= 3, and every one of at most 4 masks at n = 4
+    outcomes = {True: 0, False: 0}
+    for n in range(1, 5):
+        full = 1 << n
+        for k in range(full + 1) if n <= 3 else range(5):
+            for missing in combinations(range(full), k):
+                closed = _complement_closed(list(missing), set(missing))
+                assert closed == _complement_is_closed_reference(n, missing)
+                outcomes[closed] += 1
+    assert outcomes[True] and outcomes[False]
+    assert sum(outcomes.values()) == 4 + 16 + 256 + 2_517
+
+
+def test_complement_leaf_rule_on_every_g658_candidate(monkeypatch):
+    # the winning candidates are all closed, so only this test notices a
+    # leaf rule that accepts the 600 candidates that are not
+    verdicts = []
+
+    def checked(missing, mset):
+        closed = _complement_closed(missing, mset)
+        assert closed == _complement_is_closed_reference(6, mset)
+        verdicts.append(closed)
+        return closed
+
+    monkeypatch.setattr("frankl_lab.search._complement_closed", checked)
+    assert compute_g(6, 58).value == 31
+    assert (len(verdicts), verdicts.count(False)) == (14_658, 600)
 
 
 def test_searches_restore_the_recursion_limit():
