@@ -13,7 +13,8 @@ from .budget import SearchBudget
 from .certificate import (BoundTable, CertificateReport, DualCertificate,
                           bar_f, bar_f_diag, bound_table, make_certificate,
                           verify_certificate)
-from .families import (MaxFrequency, SetFamily, complement, family_from_json,
+from .families import (MaxFrequency, SetFamily, complement,
+                       enumerate_union_closed, family_from_json,
                        family_to_json, frankl_witness, frequencies,
                        is_union_closed, max_frequency, random_union_closed,
                        union_closure)
@@ -23,8 +24,7 @@ from .lp import (DualInfeasibleError, LpProblem, LpSolution, build_relaxation,
                  prove_diagonal_relaxation_value, solve_exact,
                  symmetric_relaxation_value, verify_dual_bound)
 from .reports import VerificationReport
-from .search import (SearchResult, compute_f, compute_g,
-                     enumerate_union_closed)
+from .search import SearchResult, compute_f, compute_g
 from .theorems import (CLAIMS, check_fg_duality, check_missing_covering,
                        check_missing_subsets, powerset_minus_singletons,
                        run_claim, verify_f_theorem, verify_g_theorem,

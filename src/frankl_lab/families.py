@@ -27,8 +27,12 @@ whole tables, a few big-integer operations each:
     every mask without bit e onto the mask with it, and plane e keeps
     exactly those and the masks that already held bit e.
 
-The module also holds the seeded random families that the other layers
-share.
+One walk closes a table, one OR-image per generator: `is_union_closed`
+compares a table with its closure, `union_closure` returns it, and the
+n <= 4 enumeration keeps every table its closure leaves unchanged.
+
+The module also holds that enumeration and the seeded random families
+that the other layers share.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 MAX_GROUND_SIZE = 16
+EXHAUSTIVE_MAX_N = 4
 
 
 def mask_from_elements(elements: Iterable[int], n: int) -> int:
@@ -178,48 +183,56 @@ class MaxFrequency(NamedTuple):
     count: int
 
 
-def is_union_closed(family: SetFamily) -> bool:
-    """True iff S | T is a member for every pair of members.
+def _closure_table(bits: int, planes: tuple[int, ...]) -> int:
+    """Membership table of the union closure of the table `bits`.
 
-    F is union-closed iff its OR-image under each member lies in F.  Only
-    generators, the members that are not a union of other members, need
-    the test: closure under S and under T gives closure under S | T.
-    `reached` holds every union of the generators met so far, and each
-    round takes the lowest member outside it: a few table operations per
-    generator, none per member.  That member is a generator.  Its proper
-    subsets are lower masks, every lower member is reached already, and
-    `reached` is closed under unions, so a union of members below it
-    would be reached too.
+    `closed` holds every union of the generators met so far, and each
+    round takes the lowest member outside it, adding that member and the
+    OR-image of `closed` under it: a few table operations per generator,
+    none per member.  That member is a generator, a member that is not a
+    union of others.  Its proper subsets are lower masks, every lower
+    member is in `closed` already, and `closed` is closed under unions,
+    so a union of members below it would be in `closed` too.
     """
-    bits = family.member_bits
-    planes = _planes(family.n)
-    reached = 0
+    closed = 0
     rest = bits
     while rest:
         low = rest & -rest
-        s = low.bit_length() - 1
-        if _or_image(bits, s, planes) | bits != bits:
-            return False
-        reached |= _or_image(reached, s, planes) | low
-        rest = bits & ~reached
-    return True
+        closed |= _or_image(closed, low.bit_length() - 1, planes) | low
+        rest = bits & ~closed
+    return closed
+
+
+def is_union_closed(family: SetFamily) -> bool:
+    """True iff S | T is a member for every pair of members: the union
+    closure of the membership table adds nothing to it."""
+    bits = family.member_bits
+    return _closure_table(bits, _planes(family.n)) == bits
 
 
 def union_closure(family: SetFamily) -> SetFamily:
-    """Smallest union-closed superfamily.
+    """Smallest union-closed superfamily, from the same table walk as
+    `is_union_closed`."""
+    return SetFamily.from_member_bits(
+        family.n, _closure_table(family.member_bits, _planes(family.n)))
 
-    The closure of the seeds is the set of unions of their nonempty
-    subsets, built one seed at a time in a table of those unions.  As in
-    `is_union_closed`, seeds come in ascending mask order, so a seed that
-    is a union of others finds itself in the table already and adds
-    nothing; a generator adds itself and the table's OR-image under it.
+
+@lru_cache(maxsize=None)
+def _union_closed_tables(n: int) -> tuple[int, ...]:
+    """Membership table of every union-closed subfamily of 2^[n], ascending."""
+    planes = _planes(n)
+    return tuple([bits for bits in range(1 << (1 << n)) if _closure_table(bits, planes) == bits])
+
+
+def enumerate_union_closed(n: int) -> Iterator[SetFamily]:
+    """Yield every union-closed subfamily of 2^[n] once, in mask-bitset order.
+
+    Guarded to n <= 4: there are 2^(2^n) candidates to sift.
     """
-    planes = _planes(family.n)
-    closed = 0
-    for s in family.masks:
-        if not (closed >> s) & 1:
-            closed |= _or_image(closed, s, planes) | (1 << s)
-    return SetFamily.from_member_bits(family.n, closed)
+    if n > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_MAX_N}, got {n}")
+    for bits in _union_closed_tables(n):
+        yield SetFamily.from_member_bits(n, bits)
 
 
 def frequencies(family: SetFamily) -> tuple[int, ...]:
@@ -331,8 +344,8 @@ def random_union_closed(n: int, seed: int, density: Fraction | float | int | str
     SplitMix64 draw u satisfies u/2^64 < density, compared in exact
     rational arithmetic (no floats in the decision).
     """
-    if not 1 <= n <= 16:
-        raise ValueError(f"ground size must be in [1, 16], got {n}")
+    if not 1 <= n <= MAX_GROUND_SIZE:
+        raise ValueError(f"ground size must be in [1, {MAX_GROUND_SIZE}], got {n}")
     d = Fraction(density)
     if not 0 <= d <= 1:
         raise ValueError(f"density must be in [0, 1], got {d}")

@@ -6,12 +6,14 @@ families of exactly m sets on [n], of the most frequent element's count.
 
 This module holds only the engines and their result type, SearchResult.
 Run limits live in `budget`; family predicates and constructors (closure
-tests, frequency counts, seeded random families) live in `families`.
+tests, frequency counts, the n <= 4 enumeration, seeded random families)
+live in `families`.
 
 Three engines:
 
-  exhaustive   all 2^(2^n) subfamilies, n <= 4 only.  A single scan per n
-               is cached and answers every (a) and (m) query, with
+  exhaustive   every union-closed family, n <= 4 only, read from
+               `families.enumerate_union_closed`.  One table per n is
+               cached and answers every (a) and (m) query, with
                lexicographically smallest witnesses among the optima.
   depth-first  one branch-and-bound kernel, _depth_first, for f and g at
                n >= 5, over masks ordered by descending popcount, so any
@@ -49,10 +51,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 from .budget import NO_BUDGET, Meter, SearchBudget
-from .families import SetFamily, complement, family_to_json, is_union_closed, max_frequency
+from .families import (EXHAUSTIVE_MAX_N, MAX_GROUND_SIZE, SetFamily, complement,
+                       enumerate_union_closed, family_to_json, is_union_closed, max_frequency)
 
 
 @dataclass(frozen=True)
@@ -82,48 +85,7 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration, n <= 4
-
-EXHAUSTIVE_MAX_N = 4
-
-
-@lru_cache(maxsize=None)
-def _union_closed_bitsets(n: int) -> tuple[int, ...]:
-    """Every union-closed subfamily of 2^[n], encoded as a 2^n-bit integer
-    (bit m set iff mask m is a member), ascending.  n <= 4 only."""
-    full = 1 << n
-    out = []
-    for bits in range(1 << full):
-        g = bits
-        masks = []
-        while g:
-            low = g & -g
-            masks.append(low.bit_length() - 1)
-            g ^= low
-        closed = True
-        for i in range(len(masks)):
-            mi = masks[i]
-            for j in range(i + 1, len(masks)):
-                if not (bits >> (mi | masks[j])) & 1:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            out.append(bits)
-    return tuple(out)
-
-
-def enumerate_union_closed(n: int) -> Iterator[SetFamily]:
-    """Yield every union-closed subfamily of 2^[n] once, in mask-bitset order.
-
-    Guarded to n <= 4: there are 2^(2^n) candidates to sift.
-    """
-    if n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_MAX_N}, got {n}")
-    for bits in _union_closed_bitsets(n):
-        yield SetFamily.from_member_bits(n, bits)
-
+# exhaustive tables, n <= 4
 
 @lru_cache(maxsize=None)
 def _exhaustive_tables(n: int) -> tuple[dict, dict]:
@@ -137,8 +99,7 @@ def _exhaustive_tables(n: int) -> tuple[dict, dict]:
     """
     by_freq: dict[int, tuple[int, tuple[int, ...]]] = {}
     by_size: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for bits in _union_closed_bitsets(n):
-        family = SetFamily.from_member_bits(n, bits)
+    for family in enumerate_union_closed(n):
         size, mf, masks = len(family), max_frequency(family).count, family.masks
         cur = by_freq.get(mf)
         if cur is None or size > cur[0] or (size == cur[0] and masks < cur[1]):
@@ -415,8 +376,8 @@ def compute_f(n: int, a: int, budget: SearchBudget = NO_BUDGET) -> SearchResult:
     a = 0 is accepted (the only admissible members are none or the empty
     set, so f(n,0) = 1); it arises from the f(n, 2^(n-1)-1) theorem at n=1.
     """
-    if n < 1:
-        raise ValueError(f"ground size must be >= 1, got {n}")
+    if not 1 <= n <= MAX_GROUND_SIZE:
+        raise ValueError(f"ground size must be in [1, {MAX_GROUND_SIZE}], got {n}")
     if a < 0:
         raise ValueError(f"frequency cap must be >= 0, got {a}")
     meter = Meter()
@@ -565,8 +526,8 @@ def compute_g(n: int, m: int, budget: SearchBudget = NO_BUDGET) -> SearchResult:
     inclusion-minimal members off the power set), so there is no
     infeasible case inside that range.
     """
-    if n < 1:
-        raise ValueError(f"ground size must be >= 1, got {n}")
+    if not 1 <= n <= MAX_GROUND_SIZE:
+        raise ValueError(f"ground size must be in [1, {MAX_GROUND_SIZE}], got {n}")
     if not 1 <= m <= 1 << n:
         raise ValueError(f"family size must be in [1, 2^{n}], got {m}")
     if (1 << n) - m <= n:

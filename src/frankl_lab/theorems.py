@@ -32,11 +32,11 @@ from fractions import Fraction
 from itertools import chain
 
 from .budget import NO_BUDGET, SearchBudget
-from .families import (SetFamily, complement, frequencies, is_union_closed, max_frequency,
+from .families import (EXHAUSTIVE_MAX_N, MAX_GROUND_SIZE, SetFamily, complement,
+                       enumerate_union_closed, frequencies, is_union_closed, max_frequency,
                        random_union_closed)
 from .reports import VerificationReport, report
-from .search import (EXHAUSTIVE_MAX_N, compute_f, compute_g,
-                     enumerate_union_closed)
+from .search import compute_f, compute_g
 
 
 def _require_union_closed(family: SetFamily) -> None:
@@ -129,8 +129,8 @@ def powerset_minus_singletons(n: int) -> SetFamily:
     no longer both present), has 2^n - n members, and every element sits
     in exactly 2^(n-1) - 1 of them.
     """
-    if not 1 <= n <= 16:
-        raise ValueError(f"ground size must be in [1, 16], got {n}")
+    if not 1 <= n <= MAX_GROUND_SIZE:
+        raise ValueError(f"ground size must be in [1, {MAX_GROUND_SIZE}], got {n}")
     singletons = frozenset(1 << e for e in range(n))
     masks = tuple(m for m in range(1 << n) if m not in singletons)
     family = SetFamily(n, masks)
@@ -152,8 +152,8 @@ def verify_f_theorem(n: int, budget: SearchBudget = NO_BUDGET) -> VerificationRe
     247,812 nodes) and is skipped from n = 7 on; at n = 1 the frequency
     cap is 2^0 - 1 = 0 and the search degenerates to f(1,0) = 1 = |{emptyset}|.
     """
-    if not 1 <= n <= 16:
-        raise ValueError(f"ground size must be in [1, 16], got {n}")
+    if not 1 <= n <= MAX_GROUND_SIZE:
+        raise ValueError(f"ground size must be in [1, {MAX_GROUND_SIZE}], got {n}")
     target = (1 << n) - n
     cap = (1 << (n - 1)) - 1
     violations = []
@@ -294,7 +294,8 @@ def run_lemma_claim(claims: tuple[str, ...] = tuple(LEMMA_CHECKS), ns=LEMMA_RAND
     checks = [LEMMA_CHECKS[claim] for claim in claims]
     violations: list[list] = [[] for _ in claims]
     families_checked = 0
-    corpus = chain(((n, family) for n in range(1, 5) for family in enumerate_union_closed(n)),
+    exhaustive_ns = range(1, EXHAUSTIVE_MAX_N + 1)
+    corpus = chain(((n, family) for n in exhaustive_ns for family in enumerate_union_closed(n)),
                    ((n, family) for n in ns for family in random_closures(n, count, base_seed)))
     for n, family in corpus:
         _require_union_closed(family)
@@ -303,7 +304,7 @@ def run_lemma_claim(claims: tuple[str, ...] = tuple(LEMMA_CHECKS), ns=LEMMA_RAND
             found.extend({"n": n, "family": list(family.masks), **v}
                          for v in check(family, missing).violations)
         families_checked += 1
-    scope = {"exhaustive_n": [1, 2, 3, 4], "random_ns": list(ns),
+    scope = {"exhaustive_n": list(exhaustive_ns), "random_ns": list(ns),
              "random_count": count, "base_seed": base_seed,
              "families_checked": families_checked}
     return [report(claim, dict(scope), found)

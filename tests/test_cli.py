@@ -156,6 +156,26 @@ def test_lp_layer_json_is_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == LP_LAYER_DIGESTS[command]
 
 
+# the same pin for the search layer: values, witnesses and node counts of
+# both engines, the n <= 4 tables behind them, and the f/g duality grid
+SEARCH_LAYER_DIGESTS = {
+    "f --n 4 --a 4 --format json --stable": "afb5039ef87729e2",
+    "f --n 5 --a 5 --format json --stable": "340965aee33cc43c",
+    "g --n 4 --m 13 --format json --stable": "9ded22354c17c911",
+    "g --n 5 --m 28 --format json --stable": "9dd8839a2285f3a1",
+    "witness --n 4 --a 7": "aba2b7e5c29e4b77",
+    "table --what f-aa --to 4 --format json": "990eb9df3faa17ed",
+    "verify --claim fg-duality --format json": "2fb1b3ff03488587",
+}
+
+
+@pytest.mark.parametrize("command", SEARCH_LAYER_DIGESTS)
+def test_search_layer_output_is_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == SEARCH_LAYER_DIGESTS[command]
+
+
 @pytest.mark.parametrize("argv", [
     ("bound", "--a", "7"), ("certify", "--n", "7"), ("verify", "--claim", "thm-g"),
     ("table", "--what", "bound"),

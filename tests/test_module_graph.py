@@ -42,6 +42,12 @@ def test_search_imports_only_budget_and_families():
     assert {source for source, _ in relative_imports("search")} <= {"budget", "families"}
 
 
+def test_theorems_takes_only_the_two_engines_from_search():
+    # the lemma corpus reads its n <= 4 families from `families`
+    assert {name for source, name in relative_imports("theorems")
+            if source == "search"} == {"compute_f", "compute_g"}
+
+
 @pytest.mark.parametrize("module", LEAVES)
 def test_leaf_modules_import_nothing_from_the_package(module):
     assert relative_imports(module) == []

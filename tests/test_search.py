@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import sys
@@ -11,6 +13,7 @@ from frankl_lab import (SearchBudget, SetFamily, bar_f, check_fg_duality,
                         complement, compute_f, compute_g, enumerate_union_closed,
                         frankl_witness, is_union_closed, max_frequency,
                         random_union_closed)
+from frankl_lab import search
 from frankl_lab.search import _complement_closed
 
 from conftest import all_subfamilies, is_union_closed_reference
@@ -56,14 +59,21 @@ def test_enumeration_counts_and_closedness(n):
     assert count == UC_FAMILY_COUNTS[n]
 
 
-def test_enumeration_is_in_bitset_order():
-    seen = [sum(1 << m for m in f.masks) for f in enumerate_union_closed(3)]
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumeration_is_in_bitset_order(n):
+    seen = [sum(1 << m for m in f.masks) for f in enumerate_union_closed(n)]
     assert seen == sorted(seen)
 
 
 def test_enumeration_rejects_large_n():
     with pytest.raises(ValueError):
         next(enumerate_union_closed(5))
+
+
+def test_enumeration_is_pinned():
+    # first 16 hex digits of the SHA-256 of every n <= 4 family, in order
+    blob = json.dumps([[n, list(f.masks)] for n in range(1, 5) for f in enumerate_union_closed(n)])
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "6cf98da238076d6e"
 
 
 def test_every_nonempty_union_closed_family_has_a_witness():
@@ -245,6 +255,21 @@ def test_f_argument_validation():
         compute_f(3, -1)
     with pytest.raises(ValueError):
         SearchBudget(max_nodes=0)
+
+
+def test_oversized_ground_set_is_refused_before_any_allocation(monkeypatch):
+    # both paths below would build a 2^40-mask structure; refusing n first
+    # means neither is reached
+    def allocate(*args):
+        raise AssertionError("a 2^n-sized structure was built")
+
+    monkeypatch.setattr(search, "_g_by_complement", allocate)
+    monkeypatch.setattr(SetFamily, "power_set", classmethod(allocate))
+    refusal = r"ground size must be in \[1, 16\], got 40"
+    with pytest.raises(ValueError, match=refusal):
+        compute_f(40, 1 << 39)
+    with pytest.raises(ValueError, match=refusal):
+        compute_g(40, 1 << 40)
 
 
 @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan")])
