@@ -165,6 +165,8 @@ def verify_certificate(cert: DualCertificate) -> CertificateReport:
 
 def bar_f(n: int, a: int) -> Fraction:
     """Certified upper bound fbar(n, a); exact, valid for n >= 7, a >= 1."""
+    if type(n) is not int or type(a) is not int:
+        raise ValueError(f"n and a must be ints, got {n!r} and {a!r}")
     if n < 7:
         raise ValueError(f"bound invalid below n = 7 (gamma < 0), got n = {n}")
     if a < 1:
@@ -175,6 +177,8 @@ def bar_f(n: int, a: int) -> Fraction:
 
 def bar_f_diag(a: int) -> Fraction:
     """Diagonal closed form; equals bar_f(a, a) exactly for every a >= 7."""
+    if type(a) is not int:
+        raise ValueError(f"a must be an int, got {a!r}")
     if a < 7:
         raise ValueError(f"diagonal bound needs a >= 7, got {a}")
     num = 5 * a**4 - 12 * a**3 + 31 * a**2 - 24 * a + 48

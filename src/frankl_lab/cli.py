@@ -7,6 +7,13 @@ Exit codes: 0 success, 1 invalid arguments, 2 budget exhausted with
 partial output, 3 verification violation (a theorem contradiction, i.e.
 a bug).
 
+Each command returns an `Outcome`: its JSON payload, its text lines (the
+CSV rows for `table --format csv`) and its exit code.  `main` alone picks
+the format, drops the clock fields under --stable, prints and returns the
+code.  Two writes to stderr are the only other output: `lp --export`
+reports the rows it wrote before it solves, and `table --format csv`
+prints its notes there, after the rows.
+
 Only the JSON of f, g, lp and check has wall-clock fields ("seconds"), the
 one nondeterministic part of any payload; only those four take --stable,
 which drops them so that identical invocations print byte-identical JSON.
@@ -18,11 +25,11 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
+from typing import NamedTuple
 
 from . import checks as checks_mod
 from .budget import SearchBudget
-from .certificate import (bar_f, bar_f_diag, bound_table, make_certificate,
+from .certificate import (A9_NOTE, bar_f, bar_f_diag, bound_table, make_certificate,
                           verify_certificate)
 from .families import family_to_json
 from .lp import build_relaxation, certificate_to_dual, problem_to_text, solve_exact, verify_dual_bound
@@ -44,6 +51,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class Outcome(NamedTuple):
+    """A command's result; `err` holds stderr lines printed after stdout."""
+
+    payload: dict
+    lines: list[str]
+    code: int
+    err: tuple[str, ...] = ()
+
+
 def _scrub_timing(obj):
     if isinstance(obj, dict):
         return {k: _scrub_timing(v) for k, v in obj.items() if k != "seconds"}
@@ -52,38 +68,26 @@ def _scrub_timing(obj):
     return obj
 
 
-def _emit_json(payload: dict, stable: bool = False) -> None:
-    if stable:
-        payload = _scrub_timing(payload)
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-
-
 def _budget_from(args) -> SearchBudget:
     return SearchBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
 
 
-def _cmd_f(args) -> int:
+def _cmd_f(args) -> Outcome:
     result = compute_f(args.n, args.a, _budget_from(args))
-    if args.format == "json":
-        _emit_json(result.to_json(), args.stable)
-    else:
-        flag = "proven optimal" if result.proven_optimal else "lower bound (budget hit)"
-        print(f"f({args.n},{args.a}) = {result.value} [{flag}], "
-              f"witness of {len(result.witness)} sets, {result.nodes} nodes")
-    return EXIT_OK if result.proven_optimal else EXIT_BUDGET
+    flag = "proven optimal" if result.proven_optimal else "lower bound (budget hit)"
+    line = (f"f({args.n},{args.a}) = {result.value} [{flag}], "
+            f"witness of {len(result.witness)} sets, {result.nodes} nodes")
+    return Outcome(result.to_json(), [line], EXIT_OK if result.proven_optimal else EXIT_BUDGET)
 
 
-def _cmd_g(args) -> int:
+def _cmd_g(args) -> Outcome:
     result = compute_g(args.n, args.m, _budget_from(args))
-    if args.format == "json":
-        _emit_json(result.to_json(), args.stable)
-    else:
-        flag = "proven optimal" if result.proven_optimal else "upper bound (budget hit)"
-        print(f"g({args.n},{args.m}) = {result.value} [{flag}], {result.nodes} nodes")
-    return EXIT_OK if result.proven_optimal else EXIT_BUDGET
+    flag = "proven optimal" if result.proven_optimal else "upper bound (budget hit)"
+    line = f"g({args.n},{args.m}) = {result.value} [{flag}], {result.nodes} nodes"
+    return Outcome(result.to_json(), [line], EXIT_OK if result.proven_optimal else EXIT_BUDGET)
 
 
-def _cmd_lp(args) -> int:
+def _cmd_lp(args) -> Outcome:
     problem = build_relaxation(args.n, args.a)
     if args.export:
         try:
@@ -93,78 +97,56 @@ def _cmd_lp(args) -> int:
             raise ValueError(f"cannot write {args.export}: {exc.strerror}") from exc
         print(f"wrote {len(problem.rows)} rows to {args.export}", file=sys.stderr)
     solution = solve_exact(problem, _budget_from(args))
-    if args.format == "json":
-        _emit_json({**solution.to_json(), "floor": math.floor(solution.objective)},
-                   args.stable)
+    value, floor = solution.objective, math.floor(solution.objective)
+    if solution.status == "optimal":
+        line = (f"f_r({args.n},{args.a}) = {value} (~{float(value):.4f}), floor {floor}, "
+                f"{solution.pivots} pivots")
     else:
-        if solution.status == "optimal":
-            print(f"f_r({args.n},{args.a}) = {solution.objective} "
-                  f"(~{float(solution.objective):.4f}), floor {math.floor(solution.objective)}, "
-                  f"{solution.pivots} pivots")
-        else:
-            print(f"status {solution.status}: best feasible value {solution.objective} "
-                  f"after {solution.pivots} pivots")
-    return EXIT_OK if solution.status == "optimal" else EXIT_BUDGET
+        line = (f"status {solution.status}: best feasible value {value} "
+                f"after {solution.pivots} pivots")
+    return Outcome({**solution.to_json(), "floor": floor}, [line],
+                   EXIT_OK if solution.status == "optimal" else EXIT_BUDGET)
 
 
-def _cmd_bound(args) -> int:
-    notes = []
+def _cmd_bound(args) -> Outcome:
     if args.n is None:
         value = bar_f_diag(args.a)
-        if args.a == 9:
-            notes = [bound_table(9, 9).notes[0]]
         label = {"a": args.a}
     else:
         value = bar_f(args.n, args.a)
         label = {"n": args.n, "a": args.a}
+    notes = [A9_NOTE] if args.n is None and args.a == 9 else []
     floor = math.floor(value)
-    if args.format == "json":
-        _emit_json({**label, "floor": floor, "exact": str(value), "notes": notes})
-    else:
-        print(f"{floor} (exact {value})")
-        for note in notes:
-            print(f"note: {note}")
-    return EXIT_OK
+    lines = [f"{floor} (exact {value})"] + [f"note: {note}" for note in notes]
+    return Outcome({**label, "floor": floor, "exact": str(value), "notes": notes}, lines, EXIT_OK)
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> Outcome:
     cert = make_certificate(args.n)
     report = verify_certificate(cert)
     payload = {"certificate": cert.to_json(), "verification": report.to_json()}
-    dual_exit = EXIT_OK
+    lines = [f"certificate n={args.n}: alpha={cert.alpha} beta={cert.beta} gamma={cert.gamma}"]
+    lines += [f"  [{'ok' if c.passed else 'FAIL'}] {c.name} (slack {c.slack})"
+              for c in report.checks]
+    lines += [f"  note: {note}" for note in report.notes]
+    # gamma < 0 below n = 7 is expected and flagged, not a contradiction
+    hard_failure = any(not c.passed and not (args.n < 7 and c.name == "gamma >= 0")
+                       for c in report.checks)
+    code = EXIT_VIOLATION if hard_failure else EXIT_OK
     if args.a is not None:
         problem = build_relaxation(args.n, args.a)
         bound = verify_dual_bound(problem, certificate_to_dual(cert, problem))
-        expected = bar_f(args.n, args.a)
-        payload["dual_bound"] = {
-            "value": str(bound),
-            "floor": math.floor(bound),
-            "matches_bar_f": bound == expected,
-        }
-        if bound != expected:
-            dual_exit = EXIT_VIOLATION
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(f"certificate n={args.n}: alpha={cert.alpha} beta={cert.beta} gamma={cert.gamma}")
-        for check in report.checks:
-            mark = "ok" if check.passed else "FAIL"
-            print(f"  [{mark}] {check.name} (slack {check.slack})")
-        for note in report.notes:
-            print(f"  note: {note}")
-        if "dual_bound" in payload:
-            d = payload["dual_bound"]
-            print(f"  dual bound on f({args.n},{args.a}): {d['value']} "
-                  f"(floor {d['floor']}, matches closed form: {d['matches_bar_f']})")
-    # gamma < 0 below n = 7 is expected and flagged, not a contradiction
-    hard_failures = [c for c in report.checks
-                     if not c.passed and not (args.n < 7 and c.name == "gamma >= 0")]
-    if hard_failures:
-        return EXIT_VIOLATION
-    return dual_exit
+        matches = bound == bar_f(args.n, args.a)
+        payload["dual_bound"] = {"value": str(bound), "floor": math.floor(bound),
+                                 "matches_bar_f": matches}
+        lines.append(f"  dual bound on f({args.n},{args.a}): {bound} "
+                     f"(floor {math.floor(bound)}, matches closed form: {matches})")
+        if not matches:
+            code = EXIT_VIOLATION
+    return Outcome(payload, lines, code)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Outcome:
     kwargs = {}
     if args.n is not None:
         kwargs["ns"] = (args.n,)
@@ -183,94 +165,76 @@ def _cmd_verify(args) -> int:
         reports += [run_claim(claim) for claim in CLAIMS if claim not in LEMMA_CHECKS]
     else:
         reports = [run_claim(args.claim, **kwargs)]
-    if args.format == "json":
-        _emit_json({"reports": [r.to_json() for r in reports]})
-    else:
-        for r in reports:
-            print(f"{r.claim}: {r.status}")
-            for v in r.violations[:10]:
-                print(f"  violation: {v}")
-            for note in r.notes:
-                print(f"  note: {note}")
-    if any(r.status == "violated" for r in reports):
-        return EXIT_VIOLATION
-    if any(r.status == "skipped" for r in reports):
-        return EXIT_BUDGET
-    return EXIT_OK
+    lines = []
+    for r in reports:
+        lines.append(f"{r.claim}: {r.status}")
+        lines += [f"  violation: {v}" for v in r.violations[:10]]
+        lines += [f"  note: {note}" for note in r.notes]
+    statuses = {r.status for r in reports}
+    code = (EXIT_VIOLATION if "violated" in statuses
+            else EXIT_BUDGET if "skipped" in statuses else EXIT_OK)
+    return Outcome({"reports": [r.to_json() for r in reports]}, lines, code)
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> Outcome:
     lo, hi = {"bound": (7, 16), "f-aa": (1, 5), "fr": (1, 4)}[args.what]
     lo = lo if args.start is None else args.start
     hi = hi if args.stop is None else args.stop
     if lo > hi:
         raise ValueError(f"empty range: --from {lo} is above --to {hi}")
+    rows = []
+    notes = []
+    stopped = False  # some row stopped on its budget
     if args.what == "bound":
         if args.max_nodes is not None or args.max_seconds is not None:
             raise ValueError("--what bound evaluates a closed form and takes no budget")
         table = bound_table(lo, hi)
-        rows = table.rows
-        notes = list(table.notes)
+        rows, notes = table.rows, list(table.notes)
     elif args.what == "f-aa":
         budget = _budget_from(args)
-        rows = []
-        notes = []
         for a in range(lo, hi + 1):
             r = compute_f(a, a, budget)
             rows.append((a, r.value))
             if not r.proven_optimal:
+                stopped = True
                 notes.append(f"a={a}: budget exhausted, value is a lower bound")
     else:  # fr
-        rows = []
-        notes = []
         for a in range(lo, hi + 1):
             sol = solve_exact(build_relaxation(a, a), _budget_from(args))
             rows.append((a, math.floor(sol.objective)))
             if sol.status == "optimal":
                 notes.append(f"a={a}: exact value {sol.objective}")
             else:
+                stopped = True
                 notes.append(f"a={a}: feasible lower bound {sol.objective}")
                 notes.append(f"a={a}: status {sol.status}")
+    payload = {"what": args.what, "rows": [{"a": a, "value": v} for a, v in rows],
+               "notes": notes}
+    code = EXIT_BUDGET if stopped else EXIT_OK
+    note_lines = [f"note: {note}" for note in notes]
     if args.format == "csv":
-        print("a,value")
-        for a, v in rows:
-            print(f"{a},{v}")
-        for note in notes:
-            print(f"note: {note}", file=sys.stderr)
-    elif args.format == "json":
-        _emit_json({"what": args.what,
-                    "rows": [{"a": a, "value": v} for a, v in rows],
-                    "notes": notes})
-    else:
-        for a, v in rows:
-            print(f"{a:3d}  {v}")
-        for note in notes:
-            print(f"note: {note}")
-    if any("budget" in n for n in notes):
-        return EXIT_BUDGET
-    return EXIT_OK
+        return Outcome(payload, ["a,value"] + [f"{a},{v}" for a, v in rows], code,
+                       tuple(note_lines))
+    return Outcome(payload, [f"{a:3d}  {v}" for a, v in rows] + note_lines, code)
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> Outcome:
     result = compute_f(args.n, args.a, _budget_from(args))
     payload = family_to_json(result.witness)
     payload["f_value"] = result.value
     payload["proven_optimal"] = result.proven_optimal
-    _emit_json(payload)  # the family JSON is the only output; it has no timing field
-    return EXIT_OK if result.proven_optimal else EXIT_BUDGET
+    # no --format: `main` always prints this family JSON, which has no timing field
+    return Outcome(payload, [], EXIT_OK if result.proven_optimal else EXIT_BUDGET)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> Outcome:
     results = checks_mod.run_all()
-    if args.format == "json":
-        _emit_json({"results": [{
-            "criterion": r.criterion, "name": r.name, "passed": r.passed,
-            "seconds": r.seconds, "limit": r.limit, "detail": r.detail,
-        } for r in results]}, args.stable)
-    else:
-        for r in results:
-            print(r.line)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VIOLATION
+    payload = {"results": [{
+        "criterion": r.criterion, "name": r.name, "passed": r.passed,
+        "seconds": r.seconds, "limit": r.limit, "detail": r.detail,
+    } for r in results]}
+    return Outcome(payload, [r.line for r in results],
+                   EXIT_OK if all(r.passed for r in results) else EXIT_VIOLATION)
 
 
 def _add_common(parser, budget=True, seed=False, stable=False, formats=("text", "json")):
@@ -359,10 +323,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.fn(args)
+        outcome = args.fn(args)
     except ValueError as exc:
         print(f"frankl-lab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if getattr(args, "format", "json") == "json":  # witness has no --format
+        payload = outcome.payload
+        if getattr(args, "stable", False):
+            payload = _scrub_timing(payload)
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    else:
+        for line in outcome.lines:
+            print(line)
+    for line in outcome.err:
+        print(line, file=sys.stderr)
+    return outcome.code
 
 
 if __name__ == "__main__":

@@ -123,6 +123,8 @@ class DualInfeasibleError(Exception):
 
 
 def _check_size(n: int, a: int) -> None:
+    if type(n) is not int or type(a) is not int:
+        raise ValueError(f"n and a must be ints, got {n!r} and {a!r}")
     if not 1 <= n <= LP_MAX_N:
         raise ValueError(f"ground size must be in [1, {LP_MAX_N}], got {n}")
     if a < 1:
@@ -362,13 +364,17 @@ def verify_dual_bound(problem: LpProblem, dual: dict[RowKey, Fraction]) -> Fract
     denominator D, so each column sum is an integer compared with D and
     b'y is accumulated as an integer over D.  Raises DualInfeasibleError
     naming the first violated column and its exact deficit, ValueError
-    for keys that name no row of this problem or negative multipliers.
+    for keys that name no row of this problem and for multipliers that are
+    negative or neither ints nor Fractions.
     Each key is checked by its shape (`LpProblem.has_row`), so only the
     rows named in y are read and `problem.rows` is never built.
     """
     for key, mult in dual.items():
         if not problem.has_row(key):
             raise ValueError(f"unknown row key {key!r} (problem/vector dimension mismatch)")
+        if not isinstance(mult, (int, Fraction)):
+            raise ValueError(f"dual multiplier for row {key!r} is neither an int nor a "
+                             f"Fraction: {mult!r}")
         if mult < 0:
             raise ValueError(f"dual multiplier for row {key!r} is negative: {mult}")
     scaled, d = _over_common_denominator(dual)

@@ -376,6 +376,8 @@ def compute_f(n: int, a: int, budget: SearchBudget = NO_BUDGET) -> SearchResult:
     a = 0 is accepted (the only admissible members are none or the empty
     set, so f(n,0) = 1); it arises from the f(n, 2^(n-1)-1) theorem at n=1.
     """
+    if type(n) is not int or type(a) is not int:
+        raise ValueError(f"n and a must be ints, got {n!r} and {a!r}")
     if not 1 <= n <= MAX_GROUND_SIZE:
         raise ValueError(f"ground size must be in [1, {MAX_GROUND_SIZE}], got {n}")
     if a < 0:
@@ -526,6 +528,8 @@ def compute_g(n: int, m: int, budget: SearchBudget = NO_BUDGET) -> SearchResult:
     inclusion-minimal members off the power set), so there is no
     infeasible case inside that range.
     """
+    if type(n) is not int or type(m) is not int:
+        raise ValueError(f"n and m must be ints, got {n!r} and {m!r}")
     if not 1 <= n <= MAX_GROUND_SIZE:
         raise ValueError(f"ground size must be in [1, {MAX_GROUND_SIZE}], got {n}")
     if not 1 <= m <= 1 << n:

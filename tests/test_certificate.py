@@ -79,6 +79,17 @@ def test_bar_f_77():
     assert math.floor(value) == 24
 
 
+def test_bar_f_refuses_a_fractional_cap():
+    # 2.5 once returned the float 12.375
+    with pytest.raises(ValueError, match="must be ints, got 7 and 2.5"):
+        bar_f(7, 2.5)
+
+
+def test_bar_f_diag_refuses_a_float():
+    with pytest.raises(ValueError, match="must be an int, got 7.5"):
+        bar_f_diag(7.5)
+
+
 def test_bar_f_guards():
     with pytest.raises(ValueError):
         bar_f(6, 6)

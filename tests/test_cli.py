@@ -176,6 +176,48 @@ def test_search_layer_output_is_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == SEARCH_LAYER_DIGESTS[command]
 
 
+# the text and CSV output of every command, the partial-run exits among
+# them: first 16 hex digits of the SHA-256 of stdout and of stderr, and the
+# exit code (none of these outputs has a clock field)
+CLI_TEXT_DIGESTS = {
+    "f --n 5 --a 5 --max-nodes 10": ("dde2750589b49841", "e3b0c44298fc1c14", 2),
+    "g --n 7 --m 122 --max-nodes 5": ("6076df694e0e4aea", "e3b0c44298fc1c14", 2),
+    "lp --n 3 --a 3": ("487180046cbe0dad", "e3b0c44298fc1c14", 0),
+    "lp --n 4 --a 4 --max-nodes 3": ("8d5f2da4c8fe26dd", "e3b0c44298fc1c14", 2),
+    "lp --n 4 --a 4 --max-nodes 3 --format json --stable":
+        ("5cbc3745b2a773d0", "e3b0c44298fc1c14", 2),
+    "bound --a 9": ("80811f3e18744df3", "e3b0c44298fc1c14", 0),
+    "certify --n 6": ("2762658da83bfe93", "e3b0c44298fc1c14", 0),
+    "certify --n 7 --a 7": ("7c4ca2294f6a65a2", "e3b0c44298fc1c14", 0),
+    "verify --claim thm-f-2n-minus-n --n 5 --max-nodes 10":
+        ("04fb532eddaa00a5", "e3b0c44298fc1c14", 2),
+    "table --what f-aa --from 5 --to 5 --max-nodes 10":
+        ("b947f9669aaaf572", "e3b0c44298fc1c14", 2),
+    "table --what f-aa --from 5 --to 5 --max-nodes 10 --format csv":
+        ("98e7f574c80b1a92", "4a1eb30dcca43c74", 2),
+    "table --what fr --to 4 --max-nodes 5 --format csv":
+        ("822d7d10a67be284", "eaa8def3c3dd1bde", 2),
+    "witness --n 5 --a 5 --max-nodes 10": ("b8bc5c762326a9e7", "e3b0c44298fc1c14", 2),
+}
+
+
+@pytest.mark.parametrize("command", CLI_TEXT_DIGESTS)
+def test_cli_text_output_is_pinned(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()[:16] for text in (out, err))
+    assert (*digests, code) == CLI_TEXT_DIGESTS[command]
+
+
+def test_table_csv_notes_follow_the_rows_on_a_merged_stream():
+    # unbuffered, so the merged stream keeps the order of the writes
+    proc = subprocess.run([sys.executable, "-u", "-m", "frankl_lab.cli", "table", "--what",
+                           "bound", "--from", "9", "--to", "9", "--format", "csv"],
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[:2] == ["a,value", "9,37"]
+    assert proc.stdout.splitlines()[2].startswith("note: a=9: exact value 1100/29")
+
+
 @pytest.mark.parametrize("argv", [
     ("bound", "--a", "7"), ("certify", "--n", "7"), ("verify", "--claim", "thm-g"),
     ("table", "--what", "bound"),

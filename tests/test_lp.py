@@ -112,6 +112,11 @@ def test_full_power_set_is_feasible_at_half_cap():
     assert rows_hold(p, {m: F(1) for m in p.variables})
 
 
+def test_build_refuses_a_fractional_cap():
+    with pytest.raises(ValueError, match="must be ints, got 3 and 2.5"):
+        build_relaxation(3, 2.5)
+
+
 def test_build_rejects_out_of_range():
     with pytest.raises(ValueError):
         build_relaxation(10, 1)
@@ -305,6 +310,13 @@ def test_has_row_accepts_bools_and_rejects_floats():
     y = {("box", m): F(1) for m in p.variables}
     with pytest.raises(ValueError, match="unknown row key"):
         verify_dual_bound(p, {**y, ("frequency", 1.0): F(1)})
+
+
+def test_float_multipliers_are_refused():
+    p = build_relaxation(2, 1)
+    y = {("box", m): F(1) for m in p.variables}
+    with pytest.raises(ValueError, match="neither an int nor a Fraction: 0.5"):
+        verify_dual_bound(p, {**y, ("box", 0): 0.5})
 
 
 def test_box_only_dual_is_feasible_and_weak():

@@ -257,6 +257,17 @@ def test_f_argument_validation():
         SearchBudget(max_nodes=0)
 
 
+def test_f_refuses_a_fractional_cap():
+    # 4.5 once reached the search and surfaced as an invalid witness
+    with pytest.raises(ValueError, match="must be ints, got 5 and 4.5"):
+        compute_f(5, 4.5)
+
+
+def test_g_refuses_a_float_size():
+    with pytest.raises(ValueError, match="must be ints, got 5 and 20.0"):
+        compute_g(5, 20.0)
+
+
 def test_oversized_ground_set_is_refused_before_any_allocation(monkeypatch):
     # both paths below would build a 2^40-mask structure; refusing n first
     # means neither is reached

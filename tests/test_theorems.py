@@ -11,6 +11,7 @@ from frankl_lab import (SetFamily, check_missing_covering,
                         verify_monotonicity)
 from frankl_lab.search import enumerate_union_closed
 from frankl_lab import theorems
+from frankl_lab.budget import SearchBudget
 from frankl_lab.reports import report
 from frankl_lab.theorems import CLAIMS, LEMMA_CHECKS, random_closures, run_lemma_claim
 
@@ -144,6 +145,13 @@ def test_f_theorem_construction_only_beyond_6(n):
     assert any("construction" in note for note in report.notes)
 
 
+def test_f_theorem_search_leg_out_of_budget_is_skipped():
+    report = verify_f_theorem(5, SearchBudget(max_nodes=10))
+    assert report.status == "skipped"
+    assert report.violations == []
+    assert report.notes == ["budget exhausted on the search leg"]
+
+
 # --- monotonicity ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("a,plateau", [(1, 2), (2, 4), (3, 5)])
@@ -171,6 +179,14 @@ def test_monotonicity_a1_has_no_carve_out():
     assert report.verified
     assert not any("saturates" in note for note in report.notes)
     assert set(report.scope["values"].values()) == {2}
+
+
+def test_monotonicity_out_of_budget_is_skipped():
+    report = verify_monotonicity(2, 5, SearchBudget(max_nodes=10))
+    assert report.status == "skipped"
+    assert report.violations == []
+    assert report.scope["values"] == {1: 2, 2: 4, 3: 4, 4: 4}
+    assert report.notes[-1] == "budget exhausted at n = 5"
 
 
 def test_monotonicity_guards():
