@@ -122,6 +122,8 @@ def make_certificate(n: int) -> DualCertificate:
     itself is only valid for n >= 7 (gamma < 0 below that); `bar_f`
     enforces the stronger guard.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     alpha, beta, gamma = _multipliers(n)
     coeff: dict[int, Fraction] = {
         0: Fraction(1),
@@ -203,6 +205,8 @@ class BoundTable:
 
 def bound_table(a_from: int, a_to: int) -> BoundTable:
     """Rows (a, floor(fbar(a,a))) for a_from <= a <= a_to, floors exact."""
+    if type(a_from) is not int or type(a_to) is not int:
+        raise ValueError(f"a_from and a_to must be ints, got {a_from!r} and {a_to!r}")
     if not 7 <= a_from <= a_to:
         raise ValueError(f"need 7 <= a_from <= a_to, got [{a_from}, {a_to}]")
     rows = tuple((a, math.floor(bar_f_diag(a))) for a in range(a_from, a_to + 1))

@@ -229,8 +229,10 @@ def enumerate_union_closed(n: int) -> Iterator[SetFamily]:
 
     Guarded to n <= 4: there are 2^(2^n) candidates to sift.
     """
-    if n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_MAX_N}, got {n}")
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
+    if not 1 <= n <= EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive enumeration needs 1 <= n <= {EXHAUSTIVE_MAX_N}, got {n}")
     for bits in _union_closed_tables(n):
         yield SetFamily.from_member_bits(n, bits)
 
@@ -344,6 +346,8 @@ def random_union_closed(n: int, seed: int, density: Fraction | float | int | str
     SplitMix64 draw u satisfies u/2^64 < density, compared in exact
     rational arithmetic (no floats in the decision).
     """
+    if type(n) is not int or type(seed) is not int:
+        raise ValueError(f"n and seed must be ints, got {n!r} and {seed!r}")
     if not 1 <= n <= MAX_GROUND_SIZE:
         raise ValueError(f"ground size must be in [1, {MAX_GROUND_SIZE}], got {n}")
     d = Fraction(density)

@@ -28,7 +28,7 @@ Three engines:
                     from the frequency slots needed.
                The kernel also cuts isomorphs: at the first mask of each
                popcount level, a partial family isomorphic under S_n to
-               one already explored there is cut (see _IsomorphRejector).
+               one already explored there is cut (see _canonical_form).
   complement   for g when few sets are missing (2^n - m <= n): choose the
                missing masks instead of the present ones, depth-first in
                ascending (popcount, value) order.  A choice is admissible
@@ -54,7 +54,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .budget import NO_BUDGET, Meter, SearchBudget
-from .families import (EXHAUSTIVE_MAX_N, MAX_GROUND_SIZE, SetFamily, complement,
+from .families import (EXHAUSTIVE_MAX_N, MAX_GROUND_SIZE, SetFamily,
                        enumerate_union_closed, family_to_json, is_union_closed, max_frequency)
 
 
@@ -124,7 +124,7 @@ def _exhaustive_f(n: int, a: int) -> tuple[int, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # the depth-first kernel
 
-_BB_MAX_N = 11  # the 4-bit colour-profile digits of _IsomorphRejector need n < 16
+_BB_MAX_N = 11  # the 4-bit colour-profile digits of _canonical_form need n < 16
 # Relabellings a canonical form may try.  7! admits every boundary at
 # n <= 7; a boundary over the cap is not canonicalised, which is sound.
 _RELABEL_CAP = 5040
@@ -136,139 +136,103 @@ def _branch_order(n: int) -> list[int]:
     return sorted(range(1 << n), key=lambda m: (-m.bit_count(), m))
 
 
-class _IsomorphRejector:
-    """Isomorph rejection at the popcount-level boundaries of the branch order.
+def _canonical_form(n: int, masks: list[int],
+                    elems: list[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
+    """Least sorted image of the family `masks` on [n] over the leaves of an
+    individualise-and-refine search (McKay, "Isomorph-free exhaustive
+    generation", 1998), or None when the refined element classes admit more
+    than _RELABEL_CAP relabellings.  elems[mask] lists the elements of mask.
 
-    At the first mask of popcount k (n-1 >= k >= 2) every mask of larger
-    popcount is decided and the undecided masks, those of popcount <= k,
-    form a union of S_n-orbits.  From there on feasibility, the slot
-    count, the running maximum and the decisions of the f and g visit
-    functions of _depth_first are S_n-invariant, and the incumbent only
-    improves, so a partial family isomorphic to one already explored at
-    the same boundary cannot beat the incumbent; the kernel prunes it
-    (the node still counts against the budget).
-
-    Isomorphism is decided by a canonical form: the least sorted image of
-    the family over the leaves of an individualise-and-refine search
-    (McKay, "Isomorph-free exhaustive generation", 1998).  Colour
-    refinement splits the elements by degree and by the sizes of the
+    Colour refinement splits the elements by degree and by the sizes of the
     members containing them, repeated until stable; then the elements of
-    the first class left with several members are individualised in
-    turn, one per twin class, and refined again, down to a labelling.
-    The leaves are relabellings that respect the first refined classes,
-    so when those admit more than _RELABEL_CAP relabellings the boundary
-    is not canonicalised at all.
+    the first class left with several members are individualised in turn,
+    one per twin class, and refined again, down to a labelling.  The leaves
+    are relabellings that respect the first refined classes, hence the cap.
 
-    A member's colour profile, the multiset of its elements' colours, is
-    one integer, the sum of 1 << 4*colour[e] over its elements.  Colours
-    are ranks below n and a colour occurs at most n times in a member, so
-    the 4-bit digits never carry while n <= _BB_MAX_N = 11 < 16: equal
-    profiles are exactly equal multisets.
+    A member's colour profile, the multiset of its elements' colours, is one
+    integer, the sum of 1 << 4*colour[e] over its elements.  Colours are
+    ranks below n and a colour occurs at most n times in a member, so the
+    4-bit digits never carry while n <= _BB_MAX_N = 11 < 16: equal profiles
+    are exactly equal multisets.
     """
-
-    __slots__ = ("n", "elems", "boundary", "seen")
-
-    def __init__(self, n: int, order: list[int]):
-        self.n = n
-        self.elems = [tuple(e for e in range(n) if mask >> e & 1) for mask in range(1 << n)]
-        self.boundary = [False] * len(order)
-        for i, mask in enumerate(order):
-            k = mask.bit_count()
-            if 2 <= k < n and order[i - 1].bit_count() != k:
-                self.boundary[i] = True
-        self.seen: set[tuple[int, tuple[int, ...]]] = set()
-
-    def repeated(self, i: int, included: list[int]) -> bool:
-        """At boundary i: has an isomorph of `included` been seen here?"""
-        form = self._canonical_form(included)
-        if form is None:
-            return False
-        key = (i, form)
-        if key in self.seen:
-            return True
-        self.seen.add(key)
-        return False
-
-    def _canonical_form(self, masks: list[int]) -> Optional[tuple[int, ...]]:
-        """Least sorted image of the family over the leaves of an
-        individualise-and-refine search, or None when the refined element
-        classes admit more than _RELABEL_CAP relabellings."""
-        n = self.n
-        members = [self.elems[mask] for mask in masks]
-        colour, count = self._refine(members, [0] * n, 1)
+    members = [elems[mask] for mask in masks]
+    colour, count = _refine(members, [0] * n, 1)
+    sizes = [0] * count
+    for c in colour:
+        sizes[c] += 1
+    if math.prod([math.factorial(s) for s in sizes]) > _RELABEL_CAP:
+        return None
+    twin = _twins(masks, colour)
+    best: Optional[list[int]] = None
+    stack = [(colour, count)]
+    while stack:
+        colour, count = stack.pop()
+        if count == n:  # discrete: colour[e] is the new label of e
+            bit = [1 << c for c in colour]
+            image = sorted([sum(map(bit.__getitem__, es)) for es in members])
+            if best is None or image < best:
+                best = image
+            continue
         sizes = [0] * count
         for c in colour:
             sizes[c] += 1
-        if math.prod([math.factorial(s) for s in sizes]) > _RELABEL_CAP:
-            return None
-        twin = self._twins(masks, colour)
-        best: Optional[list[int]] = None
-        stack = [(colour, count)]
-        while stack:
-            colour, count = stack.pop()
-            if count == n:  # discrete: colour[e] is the new label of e
-                bit = [1 << c for c in colour]
-                image = sorted([sum(map(bit.__getitem__, es)) for es in members])
-                if best is None or image < best:
-                    best = image
+        cell = next(c for c in range(count) if sizes[c] > 1)
+        # individualise each element of the first non-singleton cell, one
+        # per twin class: swapping twins maps one subtree onto the other.
+        # e keeps colour `cell`, its cell-mates move up by one.
+        tried = set()
+        for e in range(n):
+            if colour[e] == cell and twin[e] not in tried:
+                tried.add(twin[e])
+                split = [c + (c > cell or (c == cell and x != e))
+                         for x, c in enumerate(colour)]
+                stack.append(_refine(members, split, count + 1))
+    return tuple(best)
+
+
+def _refine(members: list[tuple[int, ...]], colour: list[int],
+            count: int) -> tuple[list[int], int]:
+    """Colour refinement: split the element classes by the multiset of
+    colour profiles of the members containing each element, until no class
+    splits.  `colour` holds ranks 0..count-1 for the elements of [len(colour)];
+    so does the result, returned with its class count, and relabelling the
+    input relabels the output the same way."""
+    n = len(colour)
+    while True:
+        weight = [1 << (c << 2) for c in colour]
+        signature: list[list[int]] = [[] for _ in colour]
+        for es in members:
+            profile = sum(map(weight.__getitem__, es))
+            for e in es:
+                signature[e].append(profile)
+        for c, s in zip(colour, signature):
+            s.sort()
+            s.append(c)  # keep the old colour: the new classes refine the old
+        keys = [tuple(s) for s in signature]
+        ranked = sorted(set(keys))
+        if len(ranked) == count:
+            return colour, count
+        rank = {k: r for r, k in enumerate(ranked)}
+        colour = [rank[k] for k in keys]
+        count = len(ranked)
+        if count == n:
+            return colour, count
+
+
+def _twins(masks: list[int], colour: list[int]) -> list[int]:
+    """twin[e]: the least element of [len(colour)] whose transposition with
+    e maps the family onto itself (e itself if there is none)."""
+    family = set(masks)
+    n = len(colour)
+    twin = list(range(n))
+    for x in range(n):
+        for y in range(x + 1, n):
+            if twin[y] != y or colour[x] != colour[y]:
                 continue
-            sizes = [0] * count
-            for c in colour:
-                sizes[c] += 1
-            cell = next(c for c in range(count) if sizes[c] > 1)
-            # individualise each element of the first non-singleton cell,
-            # one per twin class: swapping twins maps one subtree onto the
-            # other.  e keeps colour `cell`, its cell-mates move up by one.
-            tried = set()
-            for e in range(n):
-                if colour[e] == cell and twin[e] not in tried:
-                    tried.add(twin[e])
-                    split = [c + (c > cell or (c == cell and x != e))
-                             for x, c in enumerate(colour)]
-                    stack.append(self._refine(members, split, count + 1))
-        return tuple(best)
-
-    def _refine(self, members: list[tuple[int, ...]], colour: list[int],
-                count: int) -> tuple[list[int], int]:
-        """Colour refinement: split the element classes by the multiset of
-        colour profiles of the members containing each element, until no
-        class splits.  `colour` holds ranks 0..count-1; so does the result,
-        returned with its class count, and relabelling the input relabels
-        the output the same way."""
-        n = self.n
-        while True:
-            weight = [1 << (c << 2) for c in colour]
-            signature: list[list[int]] = [[] for _ in colour]
-            for es in members:
-                profile = sum(map(weight.__getitem__, es))
-                for e in es:
-                    signature[e].append(profile)
-            for c, s in zip(colour, signature):
-                s.sort()
-                s.append(c)  # keep the old colour: the new classes refine the old
-            keys = [tuple(s) for s in signature]
-            ranked = sorted(set(keys))
-            if len(ranked) == count:
-                return colour, count
-            rank = {k: r for r, k in enumerate(ranked)}
-            colour = [rank[k] for k in keys]
-            count = len(ranked)
-            if count == n:
-                return colour, count
-
-    def _twins(self, masks: list[int], colour: list[int]) -> list[int]:
-        """twin[e]: the least element whose transposition with e maps the
-        family onto itself (e itself if there is none)."""
-        family = set(masks)
-        twin = list(range(self.n))
-        for x in range(self.n):
-            for y in range(x + 1, self.n):
-                if twin[y] != y or colour[x] != colour[y]:
-                    continue
-                swap = (1 << x) | (1 << y)
-                if all((mask & swap) in (0, swap) or mask ^ swap in family for mask in masks):
-                    twin[y] = twin[x]
-        return twin
+            swap = (1 << x) | (1 << y)
+            if all((mask & swap) in (0, swap) or mask ^ swap in family for mask in masks):
+                twin[y] = twin[x]
+    return twin
 
 
 def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
@@ -283,11 +247,15 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
     branch order, `used` is the sum and `top` the maximum of the element
     frequencies.  visit does the caller's incumbent and bound bookkeeping
     and returns the frequency cap for including order[i], or None to cut
-    the node; it must return None at a leaf.  A node that survives visit
-    is also cut at a boundary where an isomorph was seen (see
-    _IsomorphRejector).  That cut is sound only because visit's return
-    value depends on `included` only up to a relabelling of [n], and any
-    incumbent it keeps only improves.
+    the node; it must return None at a leaf.
+
+    Isomorph rejection: at the first mask of popcount k (n-1 >= k >= 2)
+    every mask of larger popcount is decided and the undecided masks form a
+    union of S_n-orbits.  A node there that survives visit is cut if a
+    family with the same _canonical_form was met at the same boundary.
+    That cut is sound only because visit's return value depends on
+    `included` only up to a relabelling of [n], and any incumbent it keeps
+    only improves, so an isomorph cannot beat it.
 
     The nodes wait on an explicit stack of frames (i, size, used, top), so
     a path of 2^n + 1 nodes needs no raised recursion limit.  Expanding a
@@ -299,9 +267,10 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
     if n > _BB_MAX_N:
         raise ValueError(f"branch-and-bound search capped at n = {_BB_MAX_N}, got {n}")
     order = _branch_order(n)
-    iso = _IsomorphRejector(n, order)
-    elems = [iso.elems[mask] for mask in order]
-    boundary = iso.boundary
+    elems = [tuple(e for e in range(n) if mask >> e & 1) for mask in range(1 << n)]
+    levels = [mask.bit_count() for mask in order]
+    boundary = [2 <= k < n and k != levels[i - 1] for i, k in enumerate(levels)]
+    seen: set[tuple[int, tuple[int, ...]]] = set()
     meter = Meter(budget, every=4096)
     freq = [0] * n
     included: list[int] = []
@@ -312,17 +281,24 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
         if frame is None:
             mask = included.pop()
             inc_bits ^= 1 << mask
-            for e in iso.elems[mask]:
+            for e in elems[mask]:
                 freq[e] -= 1
             continue
         i, size, used, top = frame
         if not meter.tick():
             continue
         cap = visit(i, size, used, top, included)
-        if cap is None or (boundary[i] and iso.repeated(i, included)):
+        if cap is None:
             continue
+        if boundary[i]:
+            form = _canonical_form(n, included, elems)
+            if form is not None:
+                if (i, form) in seen:
+                    continue
+                seen.add((i, form))
         stack.append((i + 1, size, used, top))
-        mask, es = order[i], elems[i]
+        mask = order[i]
+        es = elems[mask]
         feasible = top < cap or all(freq[e] < cap for e in es)  # top bounds every freq[e]
         if feasible:
             for t in included:
@@ -424,9 +400,8 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> SearchResult:
     elems = [[e for e in range(n) if u >> e & 1] for u in order]
     below = [[u ^ (1 << e) for e in es] for u, es in zip(order, elems)]  # (|U|-1)-subsets
     meter = Meter(budget, every=4096)
-    top = SetFamily(n, _top_slice_family(n, m))
-    best_value = max_frequency(top).count
-    best_missing = complement(top).masks
+    best_missing = tuple(sorted(order[:k]))  # the top slice's missing masks
+    best_value = half - min(sum(u >> e & 1 for u in best_missing) for e in range(n))
     missing: list[int] = []
     mset: set[int] = set()
     cover = [0] * n  # cover[e]: the missing masks that contain e

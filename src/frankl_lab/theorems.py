@@ -102,6 +102,8 @@ def verify_g_theorem(n: int, budget: SearchBudget = NO_BUDGET) -> VerificationRe
     Budget exhaustion downgrades the report to skipped rather than
     failing it.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if not 3 <= n <= 6:
         raise ValueError(f"g-theorem verifier runs for 3 <= n <= 6, got {n}")
     expected = 1 << (n - 1)
@@ -129,6 +131,8 @@ def powerset_minus_singletons(n: int) -> SetFamily:
     no longer both present), has 2^n - n members, and every element sits
     in exactly 2^(n-1) - 1 of them.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if not 1 <= n <= MAX_GROUND_SIZE:
         raise ValueError(f"ground size must be in [1, {MAX_GROUND_SIZE}], got {n}")
     singletons = frozenset(1 << e for e in range(n))
@@ -152,6 +156,8 @@ def verify_f_theorem(n: int, budget: SearchBudget = NO_BUDGET) -> VerificationRe
     247,812 nodes) and is skipped from n = 7 on; at n = 1 the frequency
     cap is 2^0 - 1 = 0 and the search degenerates to f(1,0) = 1 = |{emptyset}|.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if not 1 <= n <= MAX_GROUND_SIZE:
         raise ValueError(f"ground size must be in [1, {MAX_GROUND_SIZE}], got {n}")
     target = (1 << n) - n
@@ -189,6 +195,8 @@ def verify_monotonicity(a: int, n_max: int,
     at (n,a) = (1,2) and (2,3), where the smaller lattice is saturated;
     such pairs are recorded as notes, not violations.
     """
+    if type(a) is not int or type(n_max) is not int:
+        raise ValueError(f"a and n_max must be ints, got {a!r} and {n_max!r}")
     if a < 1:
         raise ValueError(f"frequency cap must be >= 1, got {a}")
     if n_max < 2:
@@ -234,6 +242,8 @@ def check_fg_duality(n: int, a_max: int) -> VerificationReport:
     can only mean a solver bug, so this doubles as a cross-check of the
     two searches.  Exhaustive regime only (n <= 4).
     """
+    if type(n) is not int or type(a_max) is not int:
+        raise ValueError(f"n and a_max must be ints, got {n!r} and {a_max!r}")
     if n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"duality check needs exhaustive tables, n <= {EXHAUSTIVE_MAX_N}")
     if a_max < 1:

@@ -90,6 +90,16 @@ def test_bar_f_diag_refuses_a_float():
         bar_f_diag(7.5)
 
 
+@pytest.mark.parametrize("call,args,refusal", [
+    (make_certificate, (7.5,), "n must be an int, got 7.5"),
+    (bound_table, (7.5, 9), "a_from and a_to must be ints, got 7.5 and 9"),
+])
+def test_certificate_builders_refuse_non_int_arguments(call, args, refusal):
+    # both once raised "'float' object cannot be interpreted as an integer"
+    with pytest.raises(ValueError, match=refusal):
+        call(*args)
+
+
 def test_bar_f_guards():
     with pytest.raises(ValueError):
         bar_f(6, 6)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frankl_lab import (SetFamily, complement, family_from_json,
+from frankl_lab import (SetFamily, complement, enumerate_union_closed, family_from_json,
                         family_to_json, frankl_witness, frequencies,
                         is_union_closed, max_frequency, random_union_closed,
                         union_closure)
@@ -285,3 +285,19 @@ def test_json_rejects_non_integer_values(blob):
     # JSON booleans are not numbers here, and no malformed value gets as far as a TypeError
     with pytest.raises(ValueError):
         family_from_json(blob)
+
+
+def _enumerate(n):
+    return list(enumerate_union_closed(n))
+
+
+@pytest.mark.parametrize("call,args,refusal", [
+    (random_union_closed, (2.5, 1, "1/2"), "n and seed must be ints, got 2.5 and 1"),
+    (random_union_closed, (2, 1.0, "1/2"), "n and seed must be ints, got 2 and 1.0"),
+    (_enumerate, (2.0,), "n must be an int, got 2.0"),
+    (_enumerate, (-1,), "needs 1 <= n <= 4, got -1"),  # once "negative shift count"
+])
+def test_family_constructors_refuse_bad_arguments(call, args, refusal):
+    # each once raised a TypeError or a ValueError from a bit shift
+    with pytest.raises(ValueError, match=refusal):
+        call(*args)

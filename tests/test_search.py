@@ -164,6 +164,7 @@ _F_WITNESS_9 = (0, 1, 2, 3, 4, 5, 6, 7, 15)
     ("g", 5, 20, 100, 12, 116, False,
      (0, 3, 7, 11, 12, 13, 14, 15, 16, 19, 21, 22, 23, 25, 26, 27, 28, 29, 30, 31)),
     ("f", 6, 6, 999, 10, 1_006, False, (0, 1, 2, 3, 4, 5, 6, 7, 11, 15)),
+    ("f", 7, 7, 20_000, 12, 20_009, False, (0, 1, 2, 3, 4, 5, 6, 7, 11, 13, 14, 15)),
 ])
 def test_branch_and_bound_path_is_pinned(kind, n, k, budget, value, nodes, proven, masks):
     # value, node count and first-met witness of the search in its fixed order
@@ -455,6 +456,12 @@ def _brute_canonical_form(n, masks):
     return min(sorted(_relabel(n, masks, p)) for p in permutations(range(n)))
 
 
+def _canonical_form_on(n):
+    from frankl_lab.search import _canonical_form
+    elems = [tuple(e for e in range(n) if mask >> e & 1) for mask in range(1 << n)]
+    return lambda masks: _canonical_form(n, masks, elems)
+
+
 def _cycle_edges(*cycles):
     return [(1 << c[i]) | (1 << c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))]
 
@@ -485,14 +492,13 @@ def _random_families_n6(rng):
 @pytest.mark.parametrize("n,make", [(5, _random_families_n5), (6, _random_families_n6),
                                     (7, _regular_families_n7)])
 def test_isomorph_canonical_form_is_a_complete_invariant(n, make):
-    from frankl_lab.search import _IsomorphRejector, _branch_order
-    rejector = _IsomorphRejector(n, _branch_order(n))
+    canonical_form = _canonical_form_on(n)
     rng = random.Random(n)
     forms = {}
     for masks in make(rng):
-        form = rejector._canonical_form(masks)
+        form = canonical_form(masks)
         relabelled = _relabel(n, masks, rng.sample(range(n), n))
-        assert rejector._canonical_form(relabelled) == form
+        assert canonical_form(relabelled) == form
         forms.setdefault(tuple(_brute_canonical_form(n, masks)), set()).add(form)
     # one form per isomorphism class, and distinct classes get distinct forms
     assert all(len(f) == 1 for f in forms.values())
@@ -500,20 +506,20 @@ def test_isomorph_canonical_form_is_a_complete_invariant(n, make):
 
 
 def test_isomorph_canonical_form_is_none_over_the_relabelling_cap():
-    from frankl_lab.search import _RELABEL_CAP, _IsomorphRejector, _branch_order
+    from frankl_lab.search import _RELABEL_CAP
     n = 8
     assert math.factorial(n) > _RELABEL_CAP
-    rejector = _IsomorphRejector(n, _branch_order(n))
+    canonical_form = _canonical_form_on(n)
     rng = random.Random(n)
     # refinement leaves all eight elements in one class: 8! relabellings
     for masks in (list(range(1 << n)), _cycle_edges(tuple(range(n)))):
-        assert rejector._canonical_form(masks) is None
-        assert rejector._canonical_form(_relabel(n, masks, rng.sample(range(n), n))) is None
+        assert canonical_form(masks) is None
+        assert canonical_form(_relabel(n, masks, rng.sample(range(n), n))) is None
     # the path 0-1-...-7 refines to the classes {0,7}, {1,6}, {2,5}, {3,4}
     path = [(1 << e) | (1 << (e + 1)) for e in range(n - 1)]
-    form = rejector._canonical_form(path)
+    form = canonical_form(path)
     assert form is not None
-    assert rejector._canonical_form(_relabel(n, path, rng.sample(range(n), n))) == form
+    assert canonical_form(_relabel(n, path, rng.sample(range(n), n))) == form
 
 
 def test_g_argument_validation():

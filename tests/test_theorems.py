@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from frankl_lab import (SetFamily, check_missing_covering,
+from frankl_lab import (SetFamily, check_fg_duality, check_missing_covering,
                         check_missing_subsets, complement, frequencies,
                         is_union_closed, max_frequency,
                         powerset_minus_singletons, run_claim,
@@ -194,6 +194,21 @@ def test_monotonicity_guards():
         verify_monotonicity(0, 4)
     with pytest.raises(ValueError):
         verify_monotonicity(2, 1)
+
+
+@pytest.mark.parametrize("call,args,refusal", [
+    (verify_f_theorem, (4.5,), "n must be an int, got 4.5"),
+    (verify_g_theorem, (4.0,), "n must be an int, got 4.0"),
+    (powerset_minus_singletons, (2.0,), "n must be an int, got 2.0"),
+    (verify_monotonicity, (2, 4.0), "a and n_max must be ints, got 2 and 4.0"),
+    # once reported as compute_f's "got 1 and 2.5"
+    (verify_monotonicity, (2.5, 4), "a and n_max must be ints, got 2.5 and 4"),
+    (check_fg_duality, (3, 2.5), "n and a_max must be ints, got 3 and 2.5"),
+])
+def test_theorem_checks_refuse_non_int_arguments(call, args, refusal):
+    # each of these once raised a TypeError or blamed the wrong argument
+    with pytest.raises(ValueError, match=refusal):
+        call(*args)
 
 
 # --- claim registry -----------------------------------------------------------------------
