@@ -11,12 +11,12 @@ Union rows for comparable pairs are omitted: with S <= T the row reduces
 to x_S <= 1, already a box row, so the feasible region is unchanged.
 Each unordered pair appears once.
 
-The program is fixed once n and a are, so `LpProblem` holds only those
-two numbers.  Each row is named by its key, ("union", S, T) with S < T,
-("frequency", e) or ("box", m), and its coefficients and right-hand side
-follow from that key and a (`LpProblem.row`); no row is stored.  Whether
-a key names a row follows from its shape alone (`LpProblem.has_row`), so
-only the simplex and the text export list every key (`LpProblem.rows`).
+`LpProblem` holds only n and a, which fix the program, and refuses a
+pair outside 1 <= n <= 9, a >= 1 when it is made.  A row is named by its
+key, ("union", S, T) with S < T, ("frequency", e) or ("box", m), and
+`LpProblem.row` spells it out from that key and a; no row is stored.
+`has_row` tells a row key by its shape alone, so only the simplex and the
+text export list every key (`LpProblem.rows`).
 
 The solver is an exact simplex on the condensed tableau (one column
 per nonbasic variable, no slack identity block) in integer-preserving
@@ -30,22 +30,24 @@ degenerate pivots is detected, then falls back to Bland's rule
 (which cannot cycle) until progress resumes.  Rows and variables are
 ordered by mask value and ties go to the smallest variable index, so
 identical problems pivot identically and solutions are deterministic.
+The kernel takes its rows keyed by name and returns the `LpSolution`,
+dual keyed by row.  `_assert_primal_feasible` checks a primal on every
+explicit row and returns its objective: `solve_exact` compares it with
+the simplex optimum and the diagonal proof with the collapsed one; that
+proof's upper half is `certificate_dual_bound`, checked against fbar(n, n).
 
-Dual side: an assignment y >= 0 of multipliers to rows is accepted by
-`verify_dual_bound` iff every variable's y-weighted column sum reaches
-its objective coefficient 1; the weighted right-hand side sum is then an
-upper bound on the LP optimum (weak duality, exact).  Both this check
-and the primal feasibility check run in integers: the vector is scaled
-once to integers over the lcm D of its denominators, and every row or
-column is then compared against its bound times D, so no rational
-arithmetic runs inside a loop over rows or columns.  The dual check
-reads only the rows its vector names; the primal check reads every row
-straight off the scaled vector, screening the union rows of each S with
-one max over T, and makes no row key or coefficient dict.  The certificate
-multipliers map onto this interface via `certificate_to_dual`, which
-names their rows directly: alpha on each frequency row, beta on the union
-row of each split of a 3-subset into a singleton and a pair, gamma on the
-union row of each split of a 4-subset into two pairs, and 1 on the
+Dual side: `verify_dual_bound` accepts multipliers y >= 0 on rows iff
+every variable's y-weighted column sum reaches its objective coefficient
+1; the weighted right-hand side sum is then an upper bound on the LP
+optimum (weak duality, exact).  Both checks run in integers: the vector
+is scaled once to integers over the lcm D of its denominators and each
+row or column is compared with its bound times D.  The dual check reads
+only the rows its vector names; the primal check reads every row straight
+off the scaled vector and makes no row key or coefficient dict.  The
+certificate multipliers map onto this interface via `certificate_to_dual`,
+which names their rows directly: alpha on each frequency row, beta on the
+union row of each split of a 3-subset into a singleton and a pair, gamma
+on the union row of each split of a 4-subset into two pairs, and 1 on the
 empty-set box row.
 """
 
@@ -66,14 +68,26 @@ RowKey = tuple  # ("union", S, T) with S < T | ("frequency", e) | ("box", m)
 LP_MAX_N = 9  # 2^9 = 512 variables, ~1.3e5 union rows
 
 
+def _check_size(n: int, a: int) -> None:
+    if type(n) is not int or type(a) is not int:
+        raise ValueError(f"n and a must be ints, got {n!r} and {a!r}")
+    if not 1 <= n <= LP_MAX_N:
+        raise ValueError(f"ground size must be in [1, {LP_MAX_N}], got {n}")
+    if a < 1:
+        raise ValueError(f"frequency cap must be >= 1, got {a}")
+
+
 @dataclass(frozen=True)
 class LpProblem:
-    """The relaxation at (n, a).  `rows` names the rows in solver order
-    (union rows by (S, T), then frequency rows by e, then box rows by m)
-    and `row(key)` says what one constrains; mask m is variable m."""
+    """The relaxation at (n, a), refused unless 1 <= n <= 9 and a >= 1.
+    `rows` names the rows in solver order (union by (S, T), frequency by e,
+    box by m) and `row(key)` says what one constrains; mask m is variable m."""
 
     n: int
     a: int
+
+    def __post_init__(self) -> None:
+        _check_size(self.n, self.a)
 
     @property
     def variables(self) -> range:
@@ -122,18 +136,8 @@ class DualInfeasibleError(Exception):
         )
 
 
-def _check_size(n: int, a: int) -> None:
-    if type(n) is not int or type(a) is not int:
-        raise ValueError(f"n and a must be ints, got {n!r} and {a!r}")
-    if not 1 <= n <= LP_MAX_N:
-        raise ValueError(f"ground size must be in [1, {LP_MAX_N}], got {n}")
-    if a < 1:
-        raise ValueError(f"frequency cap must be >= 1, got {a}")
-
-
 def build_relaxation(n: int, a: int) -> LpProblem:
     """The relaxation for 1 <= n <= 9, a >= 1."""
-    _check_size(n, a)
     return LpProblem(n, a)
 
 
@@ -168,17 +172,17 @@ _DEGENERATE_RUN_LIMIT = 40
 
 
 def _simplex_max(objective: list[int],
-                 rows: list[tuple[dict[int, int], int]],
-                 meter: Meter) -> tuple:
+                 rows: dict[RowKey, tuple[dict[int, int], int]],
+                 meter: Meter) -> LpSolution:
     """Maximize objective . x over {x >= 0 : rows}, all rhs >= 0, exactly.
 
-    The all-slack basis is feasible, so pivoting starts immediately.  The
-    caller bounds every variable by a box row, so a ratio test that finds
-    no row is a bug and raises AssertionError.  Each pivot ticks the
+    `rows` maps row keys to (coefficients by variable, rhs), in solver
+    order; the all-slack basis is feasible, so pivoting starts at once.
+    The caller bounds every variable by a box row, so a ratio test that
+    finds no row is a bug and raises AssertionError.  Each pivot ticks the
     meter first; a solve with no entering column is optimal and takes no
-    tick.  Returns (status, value, primal list, dual list, pivots),
-    status "optimal" or "budget"; on "budget" the primal is the current
-    feasible basic solution and the dual is empty.
+    tick.  On "budget" the primal is the current feasible basic solution
+    and the dual is empty.
 
     The condensed tableau holds integers only: row i is
     [N[i][0], ..., N[i][nv-1], rhs_i], the cost row is
@@ -192,9 +196,10 @@ def _simplex_max(objective: list[int],
     """
     nv = len(objective)
     m_rows = len(rows)
+    keys = list(rows)
 
     tableau: list[list[int]] = []
-    for coeffs, rhs in rows:
+    for coeffs, rhs in rows.values():
         line = [0] * (nv + 1)
         for j, c in coeffs.items():
             line[j] = c
@@ -205,8 +210,8 @@ def _simplex_max(objective: list[int],
     nonbasic = list(range(nv))
     det = 1
 
-    def _primal() -> list[Fraction]:
-        x = [Fraction(0)] * nv
+    def _primal() -> dict[int, Fraction]:
+        x = dict.fromkeys(range(nv), Fraction(0))
         for i in range(m_rows):
             if basis[i] < nv:
                 x[basis[i]] = Fraction(tableau[i][nv], det)
@@ -222,7 +227,8 @@ def _simplex_max(objective: list[int],
         if not candidates:
             break  # optimal: the budget stops only a solve that can still improve
         if not meter.tick():
-            return "budget", Fraction(cost[nv], det), _primal(), [], pivots
+            return LpSolution("budget", Fraction(cost[nv], det), _primal(), {}, pivots,
+                              meter.seconds)
         if bland:
             enter = min(candidates, key=nonbasic.__getitem__)
         else:
@@ -265,18 +271,15 @@ def _simplex_max(objective: list[int],
         basis[pivot_row], nonbasic[enter] = nonbasic[enter], basis[pivot_row]
         pivots += 1
 
-    value = Fraction(cost[nv], det)
-    dual = [Fraction(0)] * m_rows
-    for c in range(nv):
-        if nonbasic[c] >= nv:
-            dual[nonbasic[c] - nv] = Fraction(cost[c], det)
+    # the dual of each row is the reduced cost of its slack, over det
+    priced = {keys[v - nv]: cost[c] for c, v in enumerate(nonbasic) if v >= nv}
     # strong duality is an internal guard: a mismatch would be a solver bug;
     # b'y and the objective are both compared over the denominator det
-    weighted_rhs = sum(rows[nonbasic[c] - nv][1] * cost[c]
-                       for c in range(nv) if nonbasic[c] >= nv)
-    if weighted_rhs != cost[nv]:
+    if sum(rows[key][1] * y for key, y in priced.items()) != cost[nv]:
         raise AssertionError("strong duality violated: primal and dual objectives differ")
-    return "optimal", value, _primal(), dual, pivots
+    dual = {key: Fraction(priced.get(key, 0), det) for key in keys}
+    return LpSolution("optimal", Fraction(cost[nv], det), _primal(), dual, pivots,
+                      meter.seconds)
 
 
 def _pivot_line(line: list[int], prow: list[int], enter: int,
@@ -297,19 +300,16 @@ def solve_exact(problem: LpProblem, budget: SearchBudget = NO_BUDGET) -> LpSolut
     """Exact primal and dual optimum of the relaxation.
 
     On budget exhaustion returns status "budget" with the current (still
-    feasible) basic solution as a lower bound and no dual.
+    feasible) basic solution as a lower bound and no dual.  An optimum is
+    checked on every explicit row, and its objective recomputed there.
     """
-    meter = Meter(budget, every=16)
-    rows = [problem.row(key) for key in problem.rows]
-    status, value, primal_list, dual_list, pivots = _simplex_max(
-        [1] * len(problem.variables), rows, meter)
-    elapsed = meter.seconds
-    primal = dict(zip(problem.variables, primal_list))
-    if status == "budget":
-        return LpSolution("budget", value, primal, {}, pivots, elapsed)
-    dual = dict(zip(problem.rows, dual_list))
-    _assert_primal_feasible(problem, primal)
-    return LpSolution("optimal", value, primal, dual, pivots, elapsed)
+    solution = _simplex_max([1] * len(problem.variables),
+                            {key: problem.row(key) for key in problem.rows},
+                            Meter(budget, every=16))
+    if (solution.status == "optimal"
+            and _assert_primal_feasible(problem, solution.primal) != solution.objective):
+        raise AssertionError(f"simplex objective {solution.objective} differs from its primal's")
+    return solution
 
 
 def _over_common_denominator(values: dict) -> tuple[dict, int]:
@@ -319,8 +319,9 @@ def _over_common_denominator(values: dict) -> tuple[dict, int]:
     return {k: v.numerator * (d // v.denominator) for k, v in values.items()}, d
 
 
-def _assert_primal_feasible(problem: LpProblem, primal: dict[int, Fraction]) -> None:
-    """Raise AssertionError at the first row, then the first bound, that x breaks.
+def _assert_primal_feasible(problem: LpProblem, primal: dict[int, Fraction]) -> Fraction:
+    """The objective sum x of a feasible x; raise AssertionError at the
+    first row, then the first bound, that x breaks.
 
     Rows are taken in solver order and every one is checked.  x is scaled
     once to integers X over one common denominator D, held in a list
@@ -352,6 +353,7 @@ def _assert_primal_feasible(problem: LpProblem, primal: dict[int, Fraction]) -> 
     for m, v in scaled.items():
         if not 0 <= v <= d:
             raise AssertionError(f"variable bound violated at mask {m}")
+    return Fraction(sum(x), d)
 
 
 def verify_dual_bound(problem: LpProblem, dual: dict[RowKey, Fraction]) -> Fraction:
@@ -432,8 +434,7 @@ def certificate_dual_bound(n: int, a: int) -> Fraction:
     Returns the verified bound, which equals bar_f(n, a) exactly.
     """
     problem = build_relaxation(n, a)
-    cert = make_certificate(n)
-    value = verify_dual_bound(problem, certificate_to_dual(cert, problem))
+    value = verify_dual_bound(problem, certificate_to_dual(make_certificate(n), problem))
     expected = bar_f(n, a)
     if value != expected:
         raise AssertionError(f"certificate dual bound {value} != bar_f = {expected}")
@@ -464,20 +465,17 @@ def symmetric_relaxation_value(n: int, a: int) -> tuple[Fraction, dict[int, Frac
     Returns (value, {k: t_k}).
     """
     _check_size(n, a)
-    rows: list[tuple[dict[int, int], int]] = []
+    rows: dict[RowKey, tuple[dict[int, int], int]] = {}
     for j in range(1, n + 1):
         for i in range(1, j + 1):
             for u in range(j + 1, min(i + j, n) + 1):
-                if i == j:
-                    rows.append(({i: 2, u: -1}, 1))
-                else:
-                    rows.append(({i: 1, j: 1, u: -1}, 1))
-    rows.append(({k: comb(n - 1, k - 1) for k in range(1, n + 1)}, a))
+                rows[("union", i, j, u)] = ({i: 2, u: -1} if i == j
+                                            else {i: 1, j: 1, u: -1}), 1
+    rows[("frequency",)] = {k: comb(n - 1, k - 1) for k in range(1, n + 1)}, a
     for k in range(n + 1):
-        rows.append(({k: 1}, 1))
-    objective = [comb(n, k) for k in range(n + 1)]
-    _, value, primal, _, _ = _simplex_max(objective, rows, Meter())
-    return value, {k: primal[k] for k in range(n + 1)}
+        rows[("box", k)] = {k: 1}, 1
+    solution = _simplex_max([comb(n, k) for k in range(n + 1)], rows, Meter())
+    return solution.objective, solution.primal
 
 
 def lift_symmetric_primal(problem: LpProblem, levels: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -489,10 +487,11 @@ def prove_diagonal_relaxation_value(n: int) -> Fraction:
     """Prove f_r(n, n) = fbar(n, n) exactly on the explicit problem, n >= 7.
 
     Two half-proofs meet: the collapsed LP's optimal levels lift to a
-    primal vector whose feasibility is checked against every explicit
-    row (so f_r >= value), and the certificate multipliers pass
-    `verify_dual_bound` with value fbar(n, n) (so f_r <= fbar).  The two
-    values coinciding pins f_r(n, n) down exactly.
+    primal vector whose feasibility and objective are checked against every
+    explicit row (so f_r >= value), and `certificate_dual_bound` checks that
+    the certificate multipliers pass `verify_dual_bound` with value
+    fbar(n, n) (so f_r <= fbar).  The two values coinciding pins f_r(n, n)
+    down exactly.
 
     This equality is a computed fact for n = 7, 8, 9: the diagonal of the
     relaxation is exactly as strong as the closed-form bound, i.e. the
@@ -500,16 +499,12 @@ def prove_diagonal_relaxation_value(n: int) -> Fraction:
     """
     value, levels = symmetric_relaxation_value(n, n)
     problem = build_relaxation(n, n)
-    primal = lift_symmetric_primal(problem, levels)
-    _assert_primal_feasible(problem, primal)
-    scaled, d = _over_common_denominator(primal)
-    if Fraction(sum(scaled.values()), d) != value:
-        raise AssertionError("lifted primal objective drifted")
-    upper = verify_dual_bound(problem, certificate_to_dual(make_certificate(n), problem))
+    lower = _assert_primal_feasible(problem, lift_symmetric_primal(problem, levels))
+    if lower != value:
+        raise AssertionError(f"lifted primal objective {lower} differs from {value}")
+    upper = certificate_dual_bound(n, n)
     if upper != value:
-        raise AssertionError(
-            f"diagonal relaxation value {value} differs from certified bound {upper}"
-        )
+        raise AssertionError(f"diagonal relaxation value {value} differs from bound {upper}")
     return value
 
 

@@ -88,12 +88,13 @@ class SearchResult:
 # exhaustive tables, n <= 4
 
 @lru_cache(maxsize=None)
-def _exhaustive_tables(n: int) -> tuple[dict, dict]:
-    """Best families per max-frequency class and per exact size, n <= 4.
+def _exhaustive_tables(n: int) -> tuple[list, dict]:
+    """The f answer for every cap and the g answer for every size, n <= 4.
 
-    Returns (by_freq, by_size):
-      by_freq[mf] = (largest size among families with max frequency mf,
-                     lexicographically smallest such witness mask tuple)
+    Returns (by_cap, by_size):
+      by_cap[a]   = (largest size among families with max frequency <= a,
+                     lexicographically smallest such witness mask tuple),
+                    for a = 0..2^(n-1)
       by_size[m]  = (smallest max frequency among families of size m,
                      lexicographically smallest such witness mask tuple)
     """
@@ -108,17 +109,14 @@ def _exhaustive_tables(n: int) -> tuple[dict, dict]:
             curs = by_size.get(size)
             if curs is None or mf < curs[0] or (mf == curs[0] and masks < curs[1]):
                 by_size[size] = (mf, masks)
-    return by_freq, by_size
-
-
-def _exhaustive_f(n: int, a: int) -> tuple[int, tuple[int, ...]]:
-    by_freq, _ = _exhaustive_tables(n)
-    best_size = -1
-    best_masks: tuple[int, ...] = ()
-    for mf, (size, masks) in by_freq.items():
-        if mf <= a and (size > best_size or (size == best_size and masks < best_masks)):
-            best_size, best_masks = size, masks
-    return best_size, best_masks
+    # a running best over the classes mf <= a: larger size, then smaller masks
+    by_cap = []
+    best = (-1, ())
+    for a in range((1 << (n - 1)) + 1):
+        if a in by_freq:
+            best = min(best, by_freq[a], key=lambda entry: (-entry[0], entry[1]))
+        by_cap.append(best)
+    return by_cap, by_size
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +325,8 @@ def _bb_f(n: int, a: int, budget: SearchBudget) -> SearchResult:
     length = 1 << n
     # seed from the exhaustive n = 4 table: a family on [4] is a family on
     # [n] with unchanged frequencies
-    best_size, best_masks = _exhaustive_f(EXHAUSTIVE_MAX_N, min(a, 1 << EXHAUSTIVE_MAX_N))
+    by_cap, _ = _exhaustive_tables(EXHAUSTIVE_MAX_N)
+    best_size, best_masks = by_cap[min(a, len(by_cap) - 1)]
 
     def visit(i, size, used, top, included):
         nonlocal best_size, best_masks
@@ -364,7 +363,7 @@ def compute_f(n: int, a: int, budget: SearchBudget = NO_BUDGET) -> SearchResult:
         return SearchResult(n, "a", a, 1 << n, SetFamily.power_set(n), True, 1,
                             meter.seconds)
     if n <= EXHAUSTIVE_MAX_N:
-        value, masks = _exhaustive_f(n, a)
+        value, masks = _exhaustive_tables(n)[0][a]
         return SearchResult(n, "a", a, value, SetFamily(n, masks), True, 1 << (1 << n),
                             meter.seconds)
     result = _bb_f(n, a, budget)

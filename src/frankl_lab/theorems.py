@@ -296,9 +296,15 @@ def run_lemma_claim(claims: tuple[str, ...] = tuple(LEMMA_CHECKS), ns=LEMMA_RAND
     `claims` names lemma claims, both by default.  Every family of the
     corpus is built once, its closure tested and its complement built
     once, and then handed to each claim's check in turn.  Returns one
-    report per claim, in the given order.  A negative `count` raises
-    ValueError.
+    report per claim, in the given order.  A claim that is not a lemma
+    claim, or a `count` that is not an int >= 0, raises ValueError.
     """
+    unknown = [claim for claim in claims if claim not in LEMMA_CHECKS]
+    if unknown:
+        raise ValueError(f"{unknown[0]!r} is not a lemma claim "
+                         f"(they are {', '.join(LEMMA_CHECKS)})")
+    if type(count) is not int:
+        raise ValueError(f"random family count must be an int, got {count!r}")
     if count < 0:
         raise ValueError(f"random family count must be >= 0, got {count}")
     checks = [LEMMA_CHECKS[claim] for claim in claims]

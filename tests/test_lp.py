@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations, count
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frankl_lab import (DualInfeasibleError, SearchBudget, bar_f,
+from frankl_lab import (DualInfeasibleError, LpProblem, LpSolution, SearchBudget, bar_f,
                         build_relaxation, certificate_dual_bound,
                         certificate_to_dual, compute_f, lift_symmetric_primal,
                         make_certificate, problem_to_text,
                         prove_diagonal_relaxation_value, solve_exact,
                         symmetric_relaxation_value, verify_dual_bound)
+from frankl_lab import lp
 from frankl_lab.lp import _assert_primal_feasible
 
 F = Fraction
@@ -124,6 +126,21 @@ def test_build_rejects_out_of_range():
         build_relaxation(3, 0)
 
 
+@pytest.mark.parametrize("args,refusal", [
+    ((2, 2.5), "n and a must be ints, got 2 and 2.5"),
+    ((True, 2), "n and a must be ints, got True and 2"),
+    ((0, 1), r"ground size must be in \[1, 9\], got 0"),
+    ((10, 1), r"ground size must be in \[1, 9\], got 10"),
+    ((3, 0), "frequency cap must be >= 1, got 0"),
+], ids=["float-a", "bool-n", "n-zero", "n-ten", "a-zero"])
+def test_a_problem_is_valid_by_construction(args, refusal):
+    # LpProblem(2, 2.5) once failed inside the simplex, LpProblem(3, 0)
+    # was solved and LpProblem(10, 1) was accepted
+    for make in (LpProblem, build_relaxation):
+        with pytest.raises(ValueError, match=refusal):
+            make(*args)
+
+
 # --- solving -----------------------------------------------------------------
 
 def test_trivial_instance_n1():
@@ -222,6 +239,18 @@ def test_time_budget_stops_with_feasible_partial_result(monkeypatch):
     assert set(sol.primal) == set(p.variables)
     assert rows_hold(p, sol.primal)
     assert sol.objective == sum(sol.primal.values())
+
+
+def test_solve_exact_checks_the_simplex_objective_against_its_primal(monkeypatch):
+    kernel = lp._simplex_max
+
+    def off_by_one(*args):
+        solution = kernel(*args)
+        return dataclasses.replace(solution, objective=solution.objective + 1)
+
+    monkeypatch.setattr(lp, "_simplex_max", off_by_one)
+    with pytest.raises(AssertionError, match="differs from its primal"):
+        solve_exact(build_relaxation(3, 2))
 
 
 def test_solution_json_uses_exact_strings():
@@ -588,6 +617,52 @@ def test_relaxation_diagonal_value_n9_proven_exactly():
     value = prove_diagonal_relaxation_value(9)
     assert value == F(1100, 29)
     assert math.floor(value) == 37
+
+
+def test_collapsed_solve_returns_its_dual_keyed_by_row_pattern(monkeypatch):
+    kernel = lp._simplex_max
+    solves = []
+
+    def recording(objective, rows, meter):
+        solves.append((rows, kernel(objective, rows, meter)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(lp, "_simplex_max", recording)
+    value, levels = symmetric_relaxation_value(7, 7)
+    [(rows, solution)] = solves
+    assert isinstance(solution, LpSolution) and solution.status == "optimal"
+    assert (solution.objective, solution.primal) == (value, levels)
+    assert list(solution.dual) == list(rows)
+    assert list(rows)[-9:] == [("frequency",), *(("box", k) for k in range(8))]
+    assert all(key[0] == "union" and len(key) == 4 for key in list(rows)[:-9])
+    assert sum(rows[key][1] * y for key, y in solution.dual.items()) == value
+
+
+def test_diagonal_proof_consults_bar_f(monkeypatch):
+    monkeypatch.setattr(lp, "bar_f", lambda n, a: bar_f(n, a) + 1)
+    with pytest.raises(AssertionError):
+        prove_diagonal_relaxation_value(7)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("moves_value", [True, False])
+def test_diagonal_proof_catches_moved_levels(monkeypatch, k, sign, moves_value):
+    # t_1 or t_3 moved by 1/n^3 either way, with the reported value moved to
+    # match the levels or left at the optimum: one half of the proof fails
+    n = 7
+    collapsed = lp.symmetric_relaxation_value
+
+    def moved(n, a):
+        value, levels = collapsed(n, a)
+        delta = F(sign, n ** 3)
+        if moves_value:
+            value += math.comb(n, k) * delta
+        return value, {**levels, k: levels[k] + delta}
+
+    monkeypatch.setattr(lp, "symmetric_relaxation_value", moved)
+    with pytest.raises(AssertionError):
+        prove_diagonal_relaxation_value(n)
 
 
 def test_relaxation_stays_below_certificate_bound():

@@ -268,6 +268,20 @@ def test_run_lemma_claim_checks_every_pair_in_one_pass(monkeypatch):
         run_claim(claim, ns=(5,), count=40).to_json() for claim in LEMMA_CHECKS]
 
 
+@pytest.mark.parametrize("claims,kwargs,refusal", [
+    # once KeyError: 'thm-g', a registered claim that is not a lemma claim
+    (("thm-g",), {},
+     r"'thm-g' is not a lemma claim \(they are missing-subsets, missing-covering\)"),
+    (("missing-subsets", "nonsense"), {}, "'nonsense' is not a lemma claim"),
+    # once TypeError from range, or from comparing a str with 0
+    (("missing-subsets",), {"count": 1.5}, "random family count must be an int, got 1.5"),
+    (("missing-subsets",), {"count": "3"}, "random family count must be an int, got '3'"),
+], ids=["theorem-claim", "unknown-claim", "float-count", "str-count"])
+def test_run_lemma_claim_refuses_bad_claims_and_counts(claims, kwargs, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        run_lemma_claim(claims, ns=(), **kwargs)
+
+
 def test_run_lemma_claim_keeps_violations_with_their_claim(monkeypatch):
     def flag_all(family, missing):
         return report("flag", {}, [{"size": len(family)}])
