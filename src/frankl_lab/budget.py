@@ -17,10 +17,17 @@ class SearchBudget:
     max_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_nodes is not None and self.max_nodes <= 0:
-            raise ValueError("max_nodes must be positive")
-        if self.max_seconds is not None and not self.max_seconds > 0:  # NaN too
-            raise ValueError("max_seconds must be positive")
+        nodes, seconds = self.max_nodes, self.max_seconds
+        if nodes is not None:
+            if type(nodes) is not int:
+                raise ValueError(f"max_nodes must be an int, got {nodes!r}")
+            if nodes <= 0:
+                raise ValueError("max_nodes must be positive")
+        if seconds is not None:
+            if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
+                raise ValueError(f"max_seconds must be an int or a float, got {seconds!r}")
+            if not seconds > 0:  # NaN too
+                raise ValueError("max_seconds must be positive")
 
 
 NO_BUDGET = SearchBudget()

@@ -108,6 +108,8 @@ class SetFamily:
     @classmethod
     def from_member_bits(cls, n: int, bits: int) -> "SetFamily":
         """The family whose membership table is `bits`; it keeps the table."""
+        if type(bits) is not int:
+            raise ValueError(f"a membership table is an int, got {bits!r}")
         if bits < 0:
             raise ValueError("a membership table is a non-negative integer")
         masks = []
@@ -140,12 +142,6 @@ class SetFamily:
 
     def __len__(self) -> int:
         return len(self.masks)
-
-    def __contains__(self, mask: int) -> bool:
-        return (self.member_bits >> mask) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.masks)
 
     def sets(self) -> tuple[tuple[int, ...], ...]:
         """Members as 1-indexed element tuples, in mask order."""

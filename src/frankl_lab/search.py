@@ -11,12 +11,13 @@ live in `families`.
 
 Three engines:
 
-  exhaustive   every union-closed family, n <= 4 only, read from
+  exhaustive   f only, n <= 4: every union-closed family, read from
                `families.enumerate_union_closed`.  One table per n is
-               cached and answers every (a) and (m) query, with
-               lexicographically smallest witnesses among the optima.
-  depth-first  one branch-and-bound kernel, _depth_first, for f and g at
-               n >= 5, over masks ordered by descending popcount, so any
+               cached and answers every cap a, with lexicographically
+               smallest witnesses among the optima.
+  depth-first  one branch-and-bound kernel, _depth_first, for f at n >= 5
+               and for g at every n below the complement range (2^n - m
+               > n), over masks ordered by descending popcount, so any
                union of included sets lies strictly earlier in the order
                and closure is enforced incrementally.  Each node includes
                its mask (if the family stays closed and no element
@@ -39,11 +40,13 @@ Three engines:
                present proper subsets.  The objective is 2^(n-1) minus the
                least-covered element's cover count.
 
-Witness policy: exhaustive scans and the complement search return the
-lexicographically smallest optimal family; the kernel's f and g searches
-return the first optimum met in its fixed order (the size-based prune
-discards later ties by design, and an isomorph that is cut cannot hold a
-strictly better family).  All are deterministic run to run.
+Witness policy: the exhaustive f table and the complement search return
+the lexicographically smallest optimal family; the kernel's f and g
+searches return the first optimum met in its fixed order (the size-based
+prune discards later ties by design, and an isomorph that is cut cannot
+hold a strictly better family), so g below the complement range takes
+the kernel's first optimum at every n.  All are deterministic run to
+run, and compute_f and compute_g revalidate every witness they return.
 """
 
 from __future__ import annotations
@@ -85,38 +88,27 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive tables, n <= 4
+# the exhaustive f table, n <= 4
 
 @lru_cache(maxsize=None)
-def _exhaustive_tables(n: int) -> tuple[list, dict]:
-    """The f answer for every cap and the g answer for every size, n <= 4.
-
-    Returns (by_cap, by_size):
-      by_cap[a]   = (largest size among families with max frequency <= a,
-                     lexicographically smallest such witness mask tuple),
-                    for a = 0..2^(n-1)
-      by_size[m]  = (smallest max frequency among families of size m,
-                     lexicographically smallest such witness mask tuple)
-    """
+def _f_table(n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The f answer for every cap a = 0..2^(n-1), n <= 4: entry a holds the
+    largest size among families with max frequency <= a and the
+    lexicographically smallest such witness mask tuple."""
     by_freq: dict[int, tuple[int, tuple[int, ...]]] = {}
-    by_size: dict[int, tuple[int, tuple[int, ...]]] = {}
     for family in enumerate_union_closed(n):
         size, mf, masks = len(family), max_frequency(family).count, family.masks
         cur = by_freq.get(mf)
         if cur is None or size > cur[0] or (size == cur[0] and masks < cur[1]):
             by_freq[mf] = (size, masks)
-        if size:
-            curs = by_size.get(size)
-            if curs is None or mf < curs[0] or (mf == curs[0] and masks < curs[1]):
-                by_size[size] = (mf, masks)
     # a running best over the classes mf <= a: larger size, then smaller masks
-    by_cap = []
+    table = []
     best = (-1, ())
     for a in range((1 << (n - 1)) + 1):
         if a in by_freq:
             best = min(best, by_freq[a], key=lambda entry: (-entry[0], entry[1]))
-        by_cap.append(best)
-    return by_cap, by_size
+        table.append(best)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +317,8 @@ def _bb_f(n: int, a: int, budget: SearchBudget) -> SearchResult:
     length = 1 << n
     # seed from the exhaustive n = 4 table: a family on [4] is a family on
     # [n] with unchanged frequencies
-    by_cap, _ = _exhaustive_tables(EXHAUSTIVE_MAX_N)
-    best_size, best_masks = by_cap[min(a, len(by_cap) - 1)]
+    table = _f_table(EXHAUSTIVE_MAX_N)
+    best_size, best_masks = table[min(a, len(table) - 1)]
 
     def visit(i, size, used, top, included):
         nonlocal best_size, best_masks
@@ -360,13 +352,14 @@ def compute_f(n: int, a: int, budget: SearchBudget = NO_BUDGET) -> SearchResult:
     meter = Meter()
     if a >= 1 << (n - 1):
         # the full power set is feasible and no family can be larger
-        return SearchResult(n, "a", a, 1 << n, SetFamily.power_set(n), True, 1,
-                            meter.seconds)
-    if n <= EXHAUSTIVE_MAX_N:
-        value, masks = _exhaustive_tables(n)[0][a]
-        return SearchResult(n, "a", a, value, SetFamily(n, masks), True, 1 << (1 << n),
-                            meter.seconds)
-    result = _bb_f(n, a, budget)
+        result = SearchResult(n, "a", a, 1 << n, SetFamily.power_set(n), True, 1,
+                              meter.seconds)
+    elif n <= EXHAUSTIVE_MAX_N:
+        value, masks = _f_table(n)[a]
+        result = SearchResult(n, "a", a, value, SetFamily(n, masks), True, 1 << (1 << n),
+                              meter.seconds)
+    else:
+        result = _bb_f(n, a, budget)
     _validate_f_witness(result)
     return result
 
@@ -510,12 +503,6 @@ def compute_g(n: int, m: int, budget: SearchBudget = NO_BUDGET) -> SearchResult:
         raise ValueError(f"family size must be in [1, 2^{n}], got {m}")
     if (1 << n) - m <= n:
         result = _g_by_complement(n, m, budget)
-    elif n <= EXHAUSTIVE_MAX_N:
-        meter = Meter()
-        _, by_size = _exhaustive_tables(n)
-        value, masks = by_size[m]
-        result = SearchResult(n, "m", m, value, SetFamily(n, masks), True, 1 << (1 << n),
-                              meter.seconds)
     else:
         result = _bb_g(n, m, budget)
     _validate_g_witness(result)

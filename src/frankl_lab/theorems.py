@@ -20,7 +20,8 @@ VerificationReport; none of them re-derives a proof.  The claims:
                      small to hold the plateau value at all (see
                      `verify_monotonicity`).
   fg-duality         f(n,a) >= m iff g(n,m) <= a, over the whole (a, m)
-                     grid for n <= 4: a cross-check of the f and g searches.
+                     grid for n <= 4: the enumeration's f against the
+                     kernel's and the complement search's g.
 
 A violation anywhere would contradict a proved statement and therefore
 signals an implementation bug; suites treat it as build-stopping.
@@ -239,8 +240,10 @@ def check_fg_duality(n: int, a_max: int) -> VerificationReport:
     Both directions are definitional once minimal-member removal is
     available: a size-m subfamily of an f-witness keeps frequencies below
     a, and a g-witness of size m is itself an f candidate.  A violation
-    can only mean a solver bug, so this doubles as a cross-check of the
-    two searches.  Exhaustive regime only (n <= 4).
+    can only mean a solver bug, so this doubles as a cross-check of
+    independent engines: f comes from the exhaustive enumeration, g from
+    the branch-and-bound kernel (2^n - m > n) and the complement search
+    (2^n - m <= n).  Exhaustive regime only (n <= 4).
     """
     if type(n) is not int or type(a_max) is not int:
         raise ValueError(f"n and a_max must be ints, got {n!r} and {a_max!r}")

@@ -165,6 +165,10 @@ _F_WITNESS_9 = (0, 1, 2, 3, 4, 5, 6, 7, 15)
      (0, 3, 7, 11, 12, 13, 14, 15, 16, 19, 21, 22, 23, 25, 26, 27, 28, 29, 30, 31)),
     ("f", 6, 6, 999, 10, 1_006, False, (0, 1, 2, 3, 4, 5, 6, 7, 11, 15)),
     ("f", 7, 7, 20_000, 12, 20_009, False, (0, 1, 2, 3, 4, 5, 6, 7, 11, 13, 14, 15)),
+    ("g", 2, 1, None, 0, 6, True, (0,)),
+    ("g", 3, 3, None, 2, 36, True, (3, 4, 7)),
+    ("g", 4, 5, None, 3, 207, True, (0, 7, 11, 12, 15)),
+    ("g", 4, 11, 100, 7, 109, False, (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15)),
 ])
 def test_branch_and_bound_path_is_pinned(kind, n, k, budget, value, nodes, proven, masks):
     # value, node count and first-met witness of the search in its fixed order
@@ -288,6 +292,34 @@ def test_oversized_ground_set_is_refused_before_any_allocation(monkeypatch):
 def test_time_budget_must_be_positive(seconds):
     with pytest.raises(ValueError, match="max_seconds must be positive"):
         SearchBudget(max_seconds=seconds)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SearchBudget(max_nodes=2.5),
+    lambda: SearchBudget(max_nodes=True),
+    lambda: SearchBudget(max_nodes="3"),
+    lambda: SearchBudget(max_seconds="3"),
+    lambda: SearchBudget(max_seconds=True),
+    lambda: SetFamily.from_member_bits(3, 2.0),
+    lambda: SetFamily.from_member_bits(3, True),
+], ids=["nodes-float", "nodes-bool", "nodes-str", "seconds-str", "seconds-bool",
+        "table-float", "table-bool"])
+def test_non_int_budgets_and_tables_are_refused(build):
+    with pytest.raises(ValueError, match="must be an int|is an int"):
+        build()
+
+
+def test_f_revalidates_every_witness(monkeypatch):
+    # a wrong table entry and a wrong power set are both caught on the way out
+    table = list(search._f_table(3))
+    size, masks = table[3]
+    table[3] = (size + 1, masks)
+    monkeypatch.setattr(search, "_f_table", lambda n: table)
+    with pytest.raises(AssertionError, match=r"invalid witness for f\(3,3\)"):
+        compute_f(3, 3)
+    monkeypatch.setattr(SetFamily, "power_set", classmethod(lambda cls, n: cls(n, (0,))))
+    with pytest.raises(AssertionError, match=r"invalid witness for f\(3,4\)"):
+        compute_f(3, 4)
 
 
 def test_f_result_json_schema():
@@ -571,6 +603,16 @@ def test_fg_duality_no_violations(n, a_max):
     report = check_fg_duality(n, a_max)
     assert report.verified
     assert report.violations == []
+
+
+def test_fg_duality_compares_the_sift_with_the_kernel(monkeypatch):
+    # below the complement range (2^4 - m > 4) every g comes from the kernel
+    calls = []
+    bb_g = search._bb_g
+    monkeypatch.setattr(search, "_bb_g",
+                        lambda n, m, budget: calls.append((n, m)) or bb_g(n, m, budget))
+    assert check_fg_duality(4, 16).verified
+    assert calls == [(4, m) for m in range(1, 12)]
 
 
 def test_fg_duality_rejects_large_n():
