@@ -27,9 +27,8 @@ Three engines:
                     capacity;
                  g  cap one below the incumbent; prunes on a lower bound
                     from the frequency slots needed.
-               The kernel also cuts isomorphs: at the first mask of each
-               popcount level, a partial family isomorphic under S_n to
-               one already explored there is cut (see _canonical_form).
+               The kernel also cuts isomorphs at the first mask of each
+               popcount level by sibling orbits (McKay, J. Algorithms 1998).
   complement   for g when few sets are missing (2^n - m <= n): choose the
                missing masks instead of the present ones, depth-first in
                ascending (popcount, value) order.  A choice is admissible
@@ -54,7 +53,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .budget import NO_BUDGET, Meter, SearchBudget
 from .families import (EXHAUSTIVE_MAX_N, MAX_GROUND_SIZE, SetFamily,
@@ -114,10 +112,11 @@ def _f_table(n: int) -> list[tuple[int, tuple[int, ...]]]:
 # ---------------------------------------------------------------------------
 # the depth-first kernel
 
-_BB_MAX_N = 11  # the 4-bit colour-profile digits of _canonical_form need n < 16
-# Relabellings a canonical form may try.  7! admits every boundary at
-# n <= 7; a boundary over the cap is not canonicalised, which is sound.
-_RELABEL_CAP = 5040
+_BB_MAX_N = 11  # the 4-bit colour-profile digits of _refine need n < 16
+# The partial relabellings _automorphisms may try for one node, and the
+# images _orbit may list for one child.  [7] has this many partial
+# relabellings, so at n <= 7 every group and orbit is whole.
+_RELABEL_CAP = sum(math.perm(7, d) for d in range(1, 8))  # 13,699
 
 
 def _branch_order(n: int) -> list[int]:
@@ -126,58 +125,65 @@ def _branch_order(n: int) -> list[int]:
     return sorted(range(1 << n), key=lambda m: (-m.bit_count(), m))
 
 
-def _canonical_form(n: int, masks: list[int],
-                    elems: list[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
-    """Least sorted image of the family `masks` on [n] over the leaves of an
-    individualise-and-refine search (McKay, "Isomorph-free exhaustive
-    generation", 1998), or None when the refined element classes admit more
-    than _RELABEL_CAP relabellings.  elems[mask] lists the elements of mask.
+def _automorphisms(n: int, masks: list[int],
+                   elems: list[tuple[int, ...]]) -> list[list[list[int]]]:
+    """Aut(F) of the family `masks` on [n] as a chain of transversals (the
+    identity alone past _RELABEL_CAP partial relabellings tried); elems[mask]
+    lists the elements of mask.  Automorphisms keep the classes of _refine.
+    With the elements placed class by class, level j holds, per other image
+    of the j-th placed element e, one automorphism fixing every element
+    placed before e, as a table bit[y] = 1 << p(y); each automorphism is
+    u_0 u_1 ..., one u_j per level or the identity, in exactly one way.
+    Images are placed depth-first; a partial relabelling is dropped once a
+    member with all its elements placed leaves the family."""
+    members = [elems[mask] for mask in masks if mask]
+    colour, _ = _refine(members, [0] * n, 1)
+    place = sorted(range(n), key=colour.__getitem__)
+    last = [max(map(place.index, es)) for es in members]
+    due = [[es for es, j in zip(members, last) if j == d] for d in range(n)]
+    options = [[y for y in place if colour[y] == colour[e]] for e in place]
+    family = set(masks)
+    levels = []
+    tries = fixed = 0  # fixed: the elements placed before e
+    for j, e in enumerate(place):
+        level: list[list[int]] = []
+        for x in options[j]:
+            if x == e or fixed >> x & 1 or any(u[e] >> x & 1 for u in level):
+                continue
+            bit = [1 << y for y in range(n)]
+            # frames (d, image of place[d], images still free)
+            stack = [(j, 1 << x, (1 << n) - 1 - fixed - (1 << x))]
+            while stack:
+                d, image, free = stack.pop()
+                tries += 1
+                if tries > _RELABEL_CAP:
+                    return []
+                bit[place[d]] = image
+                if not all(sum(map(bit.__getitem__, es)) in family for es in due[d]):
+                    continue
+                if d + 1 == n:
+                    level.append(bit)
+                    break
+                stack.extend((d + 1, 1 << y, free ^ 1 << y)
+                             for y in reversed(options[d + 1]) if free >> y & 1)
+        levels.append(level)
+        fixed |= 1 << e
+    return levels
 
-    Colour refinement splits the elements by degree and by the sizes of the
-    members containing them, repeated until stable; then the elements of
-    the first class left with several members are individualised in turn,
-    one per twin class, and refined again, down to a labelling.  The leaves
-    are relabellings that respect the first refined classes, hence the cap.
 
-    A member's colour profile, the multiset of its elements' colours, is one
-    integer, the sum of 1 << 4*colour[e] over its elements.  Colours are
-    ranks below n and a colour occurs at most n times in a member, so the
-    4-bit digits never carry while n <= _BB_MAX_N = 11 < 16: equal profiles
-    are exactly equal multisets.
-    """
-    members = [elems[mask] for mask in masks]
-    colour, count = _refine(members, [0] * n, 1)
-    sizes = [0] * count
-    for c in colour:
-        sizes[c] += 1
-    if math.prod([math.factorial(s) for s in sizes]) > _RELABEL_CAP:
-        return None
-    twin = _twins(masks, colour)
-    best: Optional[list[int]] = None
-    stack = [(colour, count)]
-    while stack:
-        colour, count = stack.pop()
-        if count == n:  # discrete: colour[e] is the new label of e
-            bit = [1 << c for c in colour]
-            image = sorted([sum(map(bit.__getitem__, es)) for es in members])
-            if best is None or image < best:
-                best = image
-            continue
-        sizes = [0] * count
-        for c in colour:
-            sizes[c] += 1
-        cell = next(c for c in range(count) if sizes[c] > 1)
-        # individualise each element of the first non-singleton cell, one
-        # per twin class: swapping twins maps one subtree onto the other.
-        # e keeps colour `cell`, its cell-mates move up by one.
-        tried = set()
-        for e in range(n):
-            if colour[e] == cell and twin[e] not in tried:
-                tried.add(twin[e])
-                split = [c + (c > cell or (c == cell and x != e))
-                         for x, c in enumerate(colour)]
-                stack.append(_refine(members, split, count + 1))
-    return tuple(best)
+def _orbit(masks: list[int], group: list[list[list[int]]],
+           elems: list[tuple[int, ...]]) -> dict[int, list[int]]:
+    """The images of the masks under `group`, by membership table: each
+    level, the last first, moves every image met so far (to _RELABEL_CAP)."""
+    orbit = {sum([1 << m for m in masks]): masks}
+    for level in reversed(group):
+        for image in list(orbit.values()):
+            for bit in level:
+                moved = [sum(map(bit.__getitem__, elems[m])) for m in image]
+                orbit.setdefault(sum([1 << m for m in moved]), moved)
+                if len(orbit) > _RELABEL_CAP:
+                    return orbit
+    return orbit
 
 
 def _refine(members: list[tuple[int, ...]], colour: list[int],
@@ -186,7 +192,10 @@ def _refine(members: list[tuple[int, ...]], colour: list[int],
     colour profiles of the members containing each element, until no class
     splits.  `colour` holds ranks 0..count-1 for the elements of [len(colour)];
     so does the result, returned with its class count, and relabelling the
-    input relabels the output the same way."""
+    input relabels the output the same way.
+
+    A member's colour profile, the sum of 1 << 4*colour[e] over its elements,
+    is its multiset of colours while n < 16: no 4-bit digit carries."""
     n = len(colour)
     while True:
         weight = [1 << (c << 2) for c in colour]
@@ -209,22 +218,6 @@ def _refine(members: list[tuple[int, ...]], colour: list[int],
             return colour, count
 
 
-def _twins(masks: list[int], colour: list[int]) -> list[int]:
-    """twin[e]: the least element of [len(colour)] whose transposition with
-    e maps the family onto itself (e itself if there is none)."""
-    family = set(masks)
-    n = len(colour)
-    twin = list(range(n))
-    for x in range(n):
-        for y in range(x + 1, n):
-            if twin[y] != y or colour[x] != colour[y]:
-                continue
-            swap = (1 << x) | (1 << y)
-            if all((mask & swap) in (0, swap) or mask ^ swap in family for mask in masks):
-                twin[y] = twin[x]
-    return twin
-
-
 def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
     """Depth-first search over the union-closed families on [n].
 
@@ -239,19 +232,26 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
     and returns the frequency cap for including order[i], or None to cut
     the node; it must return None at a leaf.
 
-    Isomorph rejection: at the first mask of popcount k (n-1 >= k >= 2)
-    every mask of larger popcount is decided and the undecided masks form a
-    union of S_n-orbits.  A node there that survives visit is cut if a
-    family with the same _canonical_form was met at the same boundary.
-    That cut is sound only because visit's return value depends on
-    `included` only up to a relabelling of [n], and any incumbent it keeps
-    only improves, so an isomorph cannot beat it.
+    Isomorph rejection: at a boundary-k node, the first mask of popcount k
+    (n-1 >= k >= 2), the family is F_P | S: P is the boundary-(k+1)
+    ancestor (the root if k = n-1) and S the members of popcount k+1.
+    Relabellings keep popcounts, so if the boundary-(k+1) nodes kept are
+    pairwise non-isomorphic, two boundary-k nodes are isomorphic only if
+    they share P and their S lie in one orbit of Aut(F_P).  The root and
+    each kept boundary node with boundaries below find their group
+    (_automorphisms); a child that survives visit is cut if its table
+    inc_bits is in P's set, else it adds F_P | g(S) for each g in Aut(F_P)
+    (_orbit).  At n <= 7 groups and orbits are whole, so a boundary keeps
+    one family per S_n-class reaching it; past _RELABEL_CAP fewer are cut.
+    A cut drops an image of a family kept; visit's return value depends on
+    `included` only up to a relabelling, and its incumbent only improves.
 
-    The nodes wait on an explicit stack of frames (i, size, used, top), so
-    a path of 2^n + 1 nodes needs no raised recursion limit.  Expanding a
-    node pushes its exclude frame, a None marker that undoes the include,
-    then its include frame.  Once the budget has run out, each frame left
-    is still counted, then dropped.
+    The nodes wait on an explicit stack of frames (i, size, used, top, P),
+    P the nearest boundary ancestor's (group, table, member count, set),
+    freed with the last frame of its subtree; a path of 2^n + 1 nodes needs
+    no raised recursion limit.  Expanding a node pushes its exclude frame, a
+    None marker that undoes the include, then its include frame.  Once the
+    budget has run out, each frame left is still counted, then dropped.
     Returns the meter: node count, seconds, and whether the budget ran out.
     """
     if n > _BB_MAX_N:
@@ -260,12 +260,11 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
     elems = [tuple(e for e in range(n) if mask >> e & 1) for mask in range(1 << n)]
     levels = [mask.bit_count() for mask in order]
     boundary = [2 <= k < n and k != levels[i - 1] for i, k in enumerate(levels)]
-    seen: set[tuple[int, tuple[int, ...]]] = set()
     meter = Meter(budget, every=4096)
     freq = [0] * n
     included: list[int] = []
     inc_bits = 0
-    stack: list[Optional[tuple[int, int, int, int]]] = [(0, 0, 0, 0)]
+    stack: list = [(0, 0, 0, 0, (_automorphisms(n, [], elems), 0, 0, set()))]
     while stack:
         frame = stack.pop()
         if frame is None:
@@ -274,19 +273,20 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
             for e in elems[mask]:
                 freq[e] -= 1
             continue
-        i, size, used, top = frame
+        i, size, used, top, parent = frame
         if not meter.tick():
             continue
         cap = visit(i, size, used, top, included)
         if cap is None:
             continue
         if boundary[i]:
-            form = _canonical_form(n, included, elems)
-            if form is not None:
-                if (i, form) in seen:
-                    continue
-                seen.add((i, form))
-        stack.append((i + 1, size, used, top))
+            group, base, start, met = parent
+            if inc_bits in met:
+                continue
+            met.update([base | t for t in _orbit(included[start:], group, elems)])
+            if levels[i] > 2:
+                parent = (_automorphisms(n, included, elems), inc_bits, len(included), set())
+        stack.append((i + 1, size, used, top, parent))
         mask = order[i]
         es = elems[mask]
         feasible = top < cap or all(freq[e] < cap for e in es)  # top bounds every freq[e]
@@ -305,7 +305,7 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
             included.append(mask)
             inc_bits |= 1 << mask
             stack.append(None)
-            stack.append((i + 1, size + 1, used + len(es), new_top))
+            stack.append((i + 1, size + 1, used + len(es), new_top, parent))
     return meter
 
 

@@ -373,11 +373,15 @@ def test_g_of_single_set_family_is_zero():
     assert result.witness.masks == (0,)
 
 
-def test_g_b_and_b_route_matches_exhaustive():
-    # 2^4 - m > 4 forces the generic branch-and-bound at n=4 sizes below 12
-    from frankl_lab.search import _bb_g, NO_BUDGET
-    for m in (5, 9, 11):
-        assert _bb_g(4, m, NO_BUDGET).value == G_TABLE_N4[m]
+def test_g_kernel_agrees_with_the_complement_search():
+    # two independent engines on every size of the complement range,
+    # 2^n - m <= n, where compute_g runs only the complement search
+    from frankl_lab.search import _bb_g, _g_by_complement
+    for n in (3, 4, 5):
+        for m in range((1 << n) - n, (1 << n) + 1):
+            kernel, chosen = _bb_g(n, m, SearchBudget()), _g_by_complement(n, m, SearchBudget())
+            assert kernel.proven_optimal and chosen.proven_optimal
+            assert kernel.value == chosen.value, (n, m)
 
 
 def test_g_on_n5_plateau():
@@ -484,14 +488,29 @@ def _relabel(n, masks, perm):
     return [sum(1 << perm[e] for e in range(n) if mask >> e & 1) for mask in masks]
 
 
-def _brute_canonical_form(n, masks):
-    return min(sorted(_relabel(n, masks, p)) for p in permutations(range(n)))
+def _brute_automorphisms(n, masks):
+    family = set(masks)
+    return {p for p in permutations(range(n)) if set(_relabel(n, masks, p)) == family}
 
 
-def _canonical_form_on(n):
-    from frankl_lab.search import _canonical_form
-    elems = [tuple(e for e in range(n) if mask >> e & 1) for mask in range(1 << n)]
-    return lambda masks: _canonical_form(n, masks, elems)
+def _elems(n):
+    return [tuple(e for e in range(n) if mask >> e & 1) for mask in range(1 << n)]
+
+
+def _automorphisms_on(n):
+    elems = _elems(n)
+    return lambda masks: search._automorphisms(n, masks, elems)
+
+
+def _expand(n, levels):
+    """Every product u_0 u_1 ... of one table per level or the identity, as
+    permutation tuples, repeats kept."""
+    identity = tuple(range(n))
+    group = [identity]
+    for level in reversed(levels):
+        us = [identity] + [tuple(b.bit_length() - 1 for b in bit) for bit in level]
+        group = [tuple(u[x] for x in g) for u in us for g in group]
+    return group
 
 
 def _cycle_edges(*cycles):
@@ -507,7 +526,7 @@ def _random_families_n5(rng):
 
 def _regular_families_n7(rng):
     # every element has the same degree, so colour refinement cannot split
-    # them, yet C3+C4 has two orbits: the form must individualise correctly
+    # them, yet C3+C4 has two orbits and no group here is all of S_7
     c34, c7 = _cycle_edges((0, 1, 2), (3, 4, 5, 6)), _cycle_edges(tuple(range(7)))
     fano = [0b0001011, 0b0010110, 0b0101100, 0b1011000, 0b0110001, 0b1100010, 0b1000101]
     complements = [[127 ^ m for m in fam] for fam in (c34, c7)]
@@ -523,35 +542,85 @@ def _random_families_n6(rng):
 
 @pytest.mark.parametrize("n,make", [(5, _random_families_n5), (6, _random_families_n6),
                                     (7, _regular_families_n7)])
-def test_isomorph_canonical_form_is_a_complete_invariant(n, make):
-    canonical_form = _canonical_form_on(n)
+def test_automorphisms_are_the_brute_force_group(n, make):
+    automorphisms = _automorphisms_on(n)
     rng = random.Random(n)
-    forms = {}
     for masks in make(rng):
-        form = canonical_form(masks)
+        levels = automorphisms(masks)
+        group = _expand(n, levels)
+        # each automorphism is one product of the levels, in exactly one way
+        assert len(set(group)) == len(group)
+        brute = _brute_automorphisms(n, masks)
+        assert set(group) == brute
         relabelled = _relabel(n, masks, rng.sample(range(n), n))
-        assert canonical_form(relabelled) == form
-        forms.setdefault(tuple(_brute_canonical_form(n, masks)), set()).add(form)
-    # one form per isomorphism class, and distinct classes get distinct forms
-    assert all(len(f) == 1 for f in forms.values())
-    assert len({f for fs in forms.values() for f in fs}) == len(forms)
+        assert len(_expand(n, automorphisms(relabelled))) == len(group)
+        # the orbit of a few masks, by membership table
+        some = rng.sample(range(1 << n), 3)
+        assert set(search._orbit(some, levels, _elems(n))) == {
+            sum(1 << m for m in _relabel(n, some, p)) for p in brute}
 
 
-def test_isomorph_canonical_form_is_none_over_the_relabelling_cap():
-    from frankl_lab.search import _RELABEL_CAP
+def test_automorphisms_at_n8_need_no_class_product_cap():
+    # refinement leaves all eight elements of the power set and of the
+    # 8-cycle in one class, 8! relabellings, yet the search finds each group
     n = 8
-    assert math.factorial(n) > _RELABEL_CAP
-    canonical_form = _canonical_form_on(n)
+    automorphisms = _automorphisms_on(n)
     rng = random.Random(n)
-    # refinement leaves all eight elements in one class: 8! relabellings
-    for masks in (list(range(1 << n)), _cycle_edges(tuple(range(n)))):
-        assert canonical_form(masks) is None
-        assert canonical_form(_relabel(n, masks, rng.sample(range(n), n))) is None
+    assert len(set(_expand(n, automorphisms(list(range(1 << n)))))) == math.factorial(n)
+    cycle = _cycle_edges(tuple(range(n)))
     # the path 0-1-...-7 refines to the classes {0,7}, {1,6}, {2,5}, {3,4}
     path = [(1 << e) | (1 << (e + 1)) for e in range(n - 1)]
-    form = canonical_form(path)
-    assert form is not None
-    assert canonical_form(_relabel(n, path, rng.sample(range(n), n))) == form
+    for masks, size in ((cycle, 2 * n), (path, 2)):
+        group = _expand(n, automorphisms(masks))
+        assert len(group) == len(set(group)) == size
+        assert set(group) == _brute_automorphisms(n, masks)
+        assert len(_expand(n, automorphisms(_relabel(n, masks, rng.sample(range(n), n))))) == size
+
+
+def test_a_node_past_the_relabelling_cap_cuts_fewer_isomorphs(monkeypatch):
+    # the identity alone, or part of an orbit: more nodes, but a cut
+    # isomorph never held a better family, so value and witness stay
+    monkeypatch.setattr(search, "_RELABEL_CAP", 20)
+    assert _automorphisms_on(8)(_cycle_edges(tuple(range(8)))) == []
+    for compute, n, k, value, nodes, masks in (
+            (compute_f, 5, 5, 9, 3_611, _F_WITNESS_9),
+            (compute_g, 5, 20, 12, 18_702, (0, 3, 7, 11, 12, 13, 14, 15, 16, 19, 21, 22, 23, 25,
+                                            26, 27, 28, 29, 30, 31))):
+        result = compute(n, k)
+        assert (result.value, result.proven_optimal, result.witness.masks) == (value, True, masks)
+        assert result.nodes > nodes
+
+
+def test_isomorph_cuts_keep_one_family_per_class_at_each_boundary():
+    # with a visit that cuts nothing before a leaf, the families that pass
+    # each boundary are exactly one per S_5-class of those that reach it
+    n = 5
+    order = search._branch_order(n)
+    levels = [mask.bit_count() for mask in order]
+    boundaries = [i for i, k in enumerate(levels) if 2 <= k < n and k != levels[i - 1]]
+    relabel = [[sum(1 << p[e] for e in range(n) if mask >> e & 1) for mask in range(1 << n)]
+               for p in permutations(range(n))]
+    reached = {i: [] for i in boundaries}
+    passed = {i: [] for i in boundaries}
+
+    def visit(i, size, used, top, included):
+        if i in reached:
+            reached[i].append(tuple(included))
+        # a boundary node that passes is expanded, and its exclude child
+        # holds the same family one index later
+        if i - 1 in passed and (not included or included[-1] != order[i - 1]):
+            passed[i - 1].append(tuple(included))
+        return None if i == 1 << n else 1 << (n - 1)
+
+    search._depth_first(n, SearchBudget(), visit)
+    for i in boundaries:
+        form = {masks: min(sorted(map(table.__getitem__, masks)) for table in relabel)
+                for masks in set(reached[i])}
+        kept = [tuple(form[masks]) for masks in passed[i]]
+        assert set(passed[i]) <= set(reached[i])
+        assert sorted(kept) == sorted({tuple(f) for f in form.values()}), i
+    # the check has isomorphs to cut
+    assert any(len(passed[i]) < len(reached[i]) for i in boundaries)
 
 
 def test_g_argument_validation():
