@@ -34,9 +34,9 @@ NO_BUDGET = SearchBudget()
 
 
 class Meter:
-    """Counts one run's steps against a budget and times the run.  The
-    clock is read on the first step, then every `every` steps: 4096 search
-    nodes (microseconds each) or 16 pivots (milliseconds each)."""
+    """Counts one run's steps against a budget and times the run.  Within
+    budget the clock is read on the first step, then every `every` steps:
+    4096 search nodes (microseconds each) or 16 pivots (milliseconds each)."""
 
     __slots__ = ("budget", "every", "nodes", "t0", "exhausted")
 
@@ -47,15 +47,29 @@ class Meter:
         self.t0 = time.perf_counter()
         self.exhausted = False
 
-    def tick(self) -> bool:
-        """Count one step; True while within budget.  Once spent, it stays spent."""
-        self.nodes += 1
+    def tick(self, count: int = 1) -> bool:
+        """Count `count` steps, or up to the first one past the budget: the
+        same steps, clock readings and verdict as single ticks until one
+        returns False.  True while within budget.  Once spent, it stays
+        spent, and a tick counts one step and reads no clock."""
+        if self.exhausted:
+            self.nodes += 1
+            return False
         b = self.budget
-        if b.max_nodes is not None and self.nodes > b.max_nodes:
+        start, last = self.nodes, self.nodes + count
+        if b.max_nodes is not None and last > b.max_nodes:
+            last = b.max_nodes + 1
             self.exhausted = True
-        elif b.max_seconds is not None and (self.nodes - 1) % self.every == 0:
-            if time.perf_counter() - self.t0 > b.max_seconds:
-                self.exhausted = True
+        if b.max_seconds is not None:
+            # the clock is read at steps 1, every + 1, 2 * every + 1, ...,
+            # but not at a step past the node budget
+            stop = last - 1 if self.exhausted else last
+            for step in range(start + 1 + -start % self.every, stop + 1, self.every):
+                if time.perf_counter() - self.t0 > b.max_seconds:
+                    last = step
+                    self.exhausted = True
+                    break
+        self.nodes = last
         return not self.exhausted
 
     @property

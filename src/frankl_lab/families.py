@@ -149,7 +149,7 @@ class SetFamily:
 
 
 @lru_cache(maxsize=None)
-def _planes(n: int) -> tuple[int, ...]:
+def element_planes(n: int) -> tuple[int, ...]:
     """Element planes of [n]: entry e has bit m set iff mask m holds bit e.
 
     Plane e repeats a block of 2^e clear bits under 2^e set ones, with
@@ -203,20 +203,20 @@ def is_union_closed(family: SetFamily) -> bool:
     """True iff S | T is a member for every pair of members: the union
     closure of the membership table adds nothing to it."""
     bits = family.member_bits
-    return _closure_table(bits, _planes(family.n)) == bits
+    return _closure_table(bits, element_planes(family.n)) == bits
 
 
 def union_closure(family: SetFamily) -> SetFamily:
     """Smallest union-closed superfamily, from the same table walk as
     `is_union_closed`."""
     return SetFamily.from_member_bits(
-        family.n, _closure_table(family.member_bits, _planes(family.n)))
+        family.n, _closure_table(family.member_bits, element_planes(family.n)))
 
 
 @lru_cache(maxsize=None)
 def _union_closed_tables(n: int) -> tuple[int, ...]:
     """Membership table of every union-closed subfamily of 2^[n], ascending."""
-    planes = _planes(n)
+    planes = element_planes(n)
     return tuple([bits for bits in range(1 << (1 << n)) if _closure_table(bits, planes) == bits])
 
 
@@ -236,7 +236,7 @@ def enumerate_union_closed(n: int) -> Iterator[SetFamily]:
 def frequencies(family: SetFamily) -> tuple[int, ...]:
     """Exact per-element membership counts: entry e-1 is |{S in F : e in S}|."""
     bits = family.member_bits
-    return tuple([(bits & plane).bit_count() for plane in _planes(family.n)])
+    return tuple([(bits & plane).bit_count() for plane in element_planes(family.n)])
 
 
 def max_frequency(family: SetFamily) -> MaxFrequency:

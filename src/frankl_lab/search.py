@@ -21,14 +21,21 @@ Three engines:
                union of included sets lies strictly earlier in the order
                and closure is enforced incrementally.  Each node includes
                its mask (if the family stays closed and no element
-               frequency passes a cap), then excludes it.  A per-node visit
-               function carries each caller's incumbent and bound:
+               frequency passes a cap), then excludes it.  The include test
+               is two bit tests, against a table of the masks that keep
+               the family closed and the set of elements at the cap.  A
+               visit function carries each caller's incumbent and bound,
+               and also names the first later node its bound would cut:
                  f  cap a; prunes on incumbent size plus remaining
                     capacity;
                  g  cap one below the incumbent; prunes on a lower bound
                     from the frequency slots needed.
-               The kernel also cuts isomorphs at the first mask of each
-               popcount level by sibling orbits (McKay, J. Algorithms 1998).
+               A node that cannot include its mask changes nothing, so the
+               kernel skips runs of them, to the node the bound cuts, the
+               next includable mask or the next popcount level, and counts
+               the nodes skipped.  It also cuts isomorphs at the first mask
+               of each popcount level by sibling orbits (McKay, J.
+               Algorithms 1998).
   complement   for g when few sets are missing (2^n - m <= n): choose the
                missing masks instead of the present ones, depth-first in
                ascending (popcount, value) order.  A choice is admissible
@@ -55,7 +62,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .budget import NO_BUDGET, Meter, SearchBudget
-from .families import (EXHAUSTIVE_MAX_N, MAX_GROUND_SIZE, SetFamily,
+from .families import (EXHAUSTIVE_MAX_N, MAX_GROUND_SIZE, SetFamily, element_planes,
                        enumerate_union_closed, family_to_json, is_union_closed, max_frequency)
 
 
@@ -222,15 +229,27 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
     """Depth-first search over the union-closed families on [n].
 
     Node i decides order[i] of _branch_order(n): first it includes the
-    mask, if the family stays union-closed (every union of two members
-    lies earlier in the order, so one test against the members suffices)
-    and no element frequency exceeds the cap; then it excludes it.  Each
-    node, a leaf i == 2^n included, counts against the budget and calls
+    mask, if the family stays union-closed and no element frequency
+    exceeds the cap; then it excludes it.  Each node, a leaf i == 2^n
+    included, counts against the budget.  The kernel calls
     visit(i, size, used, top, included): `included` holds the members in
     branch order, `used` is the sum and `top` the maximum of the element
     frequencies.  visit does the caller's incumbent and bound bookkeeping
-    and returns the frequency cap for including order[i], or None to cut
-    the node; it must return None at a leaf.
+    and returns None to cut the node (it must at a leaf), or (cap, end):
+    cap is the frequency cap for including order[i], and end is the first
+    index at which visit would cut if the family stayed the same.
+
+    The include test is two bit tests.  `allowed` is the table of the masks
+    m with m | t a member for every member t; every union of two members
+    lies earlier in the order than both, so the family stays closed iff
+    order[i] is in it.  Including S keeps the masks m with m | S a member:
+    the members that contain S, each with any part of S removed.  `sat`
+    holds the elements whose frequency has reached the cap.  An exclude-only
+    node leaves the family, and so visit's answer, unchanged: from node i
+    the kernel scans on to the first node j that is `end`, the first of a
+    popcount level, or can include its mask.  It counts the nodes i+1..j in
+    one step and visits none of them but a node j that is `end` or the
+    first of a level.
 
     Isomorph rejection: at a boundary-k node, the first mask of popcount k
     (n-1 >= k >= 2), the family is F_P | S: P is the boundary-(k+1)
@@ -246,66 +265,98 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
     A cut drops an image of a family kept; visit's return value depends on
     `included` only up to a relabelling, and its incumbent only improves.
 
-    The nodes wait on an explicit stack of frames (i, size, used, top, P),
-    P the nearest boundary ancestor's (group, table, member count, set),
-    freed with the last frame of its subtree; a path of 2^n + 1 nodes needs
-    no raised recursion limit.  Expanding a node pushes its exclude frame, a
-    None marker that undoes the include, then its include frame.  Once the
-    budget has run out, each frame left is still counted, then dropped.
-    Returns the meter: node count, seconds, and whether the budget ran out.
+    The nodes wait on an explicit stack of exclude frames
+    (i, size, used, top, P, allowed), P the nearest boundary ancestor's
+    (group, table, member count, set), freed with the last frame of its
+    subtree, and None markers; a path of 2^n + 1 nodes needs no raised
+    recursion limit.  Including a mask pushes the exclude frame and a None
+    marker that undoes the include, then goes on with the include child in
+    place.  Once the budget has run out, each frame left is still counted,
+    then dropped.  Returns the meter: node count, seconds, and whether the
+    budget ran out.
     """
     if n > _BB_MAX_N:
         raise ValueError(f"branch-and-bound search capped at n = {_BB_MAX_N}, got {n}")
     order = _branch_order(n)
     elems = [tuple(e for e in range(n) if mask >> e & 1) for mask in range(1 << n)]
+    planes = element_planes(n)
+    full = (1 << (1 << n)) - 1
+    supersets = [full]  # supersets[mask]: the table of the masks that contain mask
+    for mask in range(1, 1 << n):
+        supersets.append(supersets[mask & (mask - 1)] & planes[(mask & -mask).bit_length() - 1])
     levels = [mask.bit_count() for mask in order]
     boundary = [2 <= k < n and k != levels[i - 1] for i, k in enumerate(levels)]
     meter = Meter(budget, every=4096)
     freq = [0] * n
+    sat, sat_cap = (1 << n) - 1, 0  # sat: the elements e with freq[e] >= sat_cap
     included: list[int] = []
     inc_bits = 0
-    stack: list = [(0, 0, 0, 0, (_automorphisms(n, [], elems), 0, 0, set()))]
+    stack: list = [(0, 0, 0, 0, (_automorphisms(n, [], elems), 0, 0, set()), full)]
     while stack:
         frame = stack.pop()
         if frame is None:
             mask = included.pop()
             inc_bits ^= 1 << mask
             for e in elems[mask]:
+                if freq[e] == sat_cap:
+                    sat ^= 1 << e
                 freq[e] -= 1
             continue
-        i, size, used, top, parent = frame
+        i, size, used, top, parent, allowed = frame
         if not meter.tick():
             continue
-        cap = visit(i, size, used, top, included)
-        if cap is None:
-            continue
-        if boundary[i]:
-            group, base, start, met = parent
-            if inc_bits in met:
-                continue
-            met.update([base | t for t in _orbit(included[start:], group, elems)])
-            if levels[i] > 2:
-                parent = (_automorphisms(n, included, elems), inc_bits, len(included), set())
-        stack.append((i + 1, size, used, top, parent))
-        mask = order[i]
-        es = elems[mask]
-        feasible = top < cap or all(freq[e] < cap for e in es)  # top bounds every freq[e]
-        if feasible:
-            for t in included:
-                u = mask | t
-                if u != t and not (inc_bits >> u) & 1:
-                    feasible = False
+        while True:  # node i, counted; its include child continues in place
+            step = visit(i, size, used, top, included)
+            if step is None:
+                break
+            cap, end = step
+            if cap != sat_cap:
+                sat_cap = cap
+                sat = sum([1 << e for e in range(n) if freq[e] >= cap])
+            if boundary[i]:
+                group, base, start, met = parent
+                if inc_bits in met:
                     break
-        if feasible:
-            new_top = top
-            for e in es:
-                freq[e] += 1
-                if freq[e] > new_top:
-                    new_top = freq[e]
-            included.append(mask)
-            inc_bits |= 1 << mask
-            stack.append(None)
-            stack.append((i + 1, size + 1, used + len(es), new_top, parent))
+                met.update([base | t for t in _orbit(included[start:], group, elems)])
+                if levels[i] > 2:
+                    parent = (_automorphisms(n, included, elems), inc_bits, len(included), set())
+            # the exclude-only run from node i: j stops at `end`, at the
+            # next boundary, or at the first mask that can be included
+            j = i
+            mask = order[i]
+            while sat & mask or not allowed >> mask & 1:
+                j += 1
+                if j >= end or boundary[j]:
+                    break
+                mask = order[j]
+            else:
+                if j > i and not meter.tick(j - i):
+                    break
+                stack.append((j + 1, size, used, top, parent, allowed))
+                stack.append(None)
+                es = elems[mask]
+                for e in es:
+                    freq[e] += 1
+                    if freq[e] > top:
+                        top = freq[e]
+                    if freq[e] == cap:
+                        sat |= 1 << e
+                included.append(mask)
+                inc_bits |= 1 << mask
+                # keep the masks m with m | mask a member: the members that
+                # contain mask, with any part of mask removed (a shift by
+                # 2^e removes e, and every entry still holds the rest of mask)
+                table = inc_bits & supersets[mask]
+                for e in es:
+                    table |= table >> (1 << e)
+                allowed &= table
+                i, size, used = j + 1, size + 1, used + len(es)
+                if not meter.tick():
+                    break
+                continue
+            if not meter.tick(j - i):
+                break
+            i = j
     return meter
 
 
@@ -329,7 +380,8 @@ def _bb_f(n: int, a: int, budget: SearchBudget) -> SearchResult:
         # the empty set sits at the end of the order and costs no slots
         if size + 1 + min(length - i - 1, n * a - used) <= best_size:
             return None
-        return a
+        # from index length - best_size + size on, even every mask left adds too few
+        return a, min(length, length - best_size + size)
 
     meter = _depth_first(n, budget, visit)
     witness = SetFamily(n, best_masks)
@@ -480,7 +532,8 @@ def _bb_g(n: int, m: int, budget: SearchBudget) -> SearchResult:
         # is still available and one of the sets still needed costs no slots
         if max(top, -(-(used + max(0, m - size - 1)) // n)) >= best_value:
             return None
-        return best_value - 1
+        # past index length - m + size, fewer masks are left than sets still needed
+        return best_value - 1, min(length, length - m + size + 1)
 
     meter = _depth_first(n, budget, visit)
     witness = SetFamily(n, best_masks)

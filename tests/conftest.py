@@ -43,3 +43,18 @@ def all_subfamilies(n: int):
 def example_family() -> SetFamily:
     """The running example: {{1},{2,3},{1,2,3},{1,2,3,4}} on [4]."""
     return SetFamily.from_sets(4, [(1,), (2, 3), (1, 2, 3), (1, 2, 3, 4)])
+
+
+def include_allowed_reference(n: int, members, mask: int, cap: int) -> bool:
+    """May the branch-and-bound kernel add `mask` to the family `members`
+    (masks on [n]) under the frequency cap `cap`?  The member-by-member scan
+    of the kernel before it kept tables: every element of the mask lies in
+    fewer than `cap` members, and the union of the mask with each member is
+    a member."""
+    def elements(m):
+        return frozenset(e for e in range(n) if m >> e & 1)
+
+    family = {elements(t) for t in members}
+    added = elements(mask)
+    return (all(sum(e in s for s in family) < cap for e in added)
+            and all(added | s in family for s in family))

@@ -10,7 +10,7 @@ from frankl_lab import (SetFamily, complement, enumerate_union_closed, family_fr
                         family_to_json, frankl_witness, frequencies,
                         is_union_closed, max_frequency, random_union_closed,
                         union_closure)
-from frankl_lab.families import _planes, elements_of_mask, mask_from_elements
+from frankl_lab.families import element_planes, elements_of_mask, mask_from_elements
 
 from conftest import (all_subfamilies, closure_reference,
                       is_union_closed_reference, to_setset)
@@ -59,7 +59,7 @@ def test_membership_table_round_trip(fam):
 @pytest.mark.parametrize("n", range(1, 17))
 def test_element_planes_match_their_definition(n):
     # plane e has bit m set iff mask m holds element e+1
-    planes = _planes(n)
+    planes = element_planes(n)
     assert len(planes) == n
     for e, plane in enumerate(planes):
         table = bin(plane)[2:].zfill(1 << n)[::-1]

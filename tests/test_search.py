@@ -14,9 +14,10 @@ from frankl_lab import (SearchBudget, SetFamily, bar_f, check_fg_duality,
                         frankl_witness, is_union_closed, max_frequency,
                         random_union_closed)
 from frankl_lab import search
+from frankl_lab.budget import Meter
 from frankl_lab.search import _complement_closed
 
-from conftest import all_subfamilies, is_union_closed_reference
+from conftest import all_subfamilies, include_allowed_reference, is_union_closed_reference
 
 # Exhaustively derived value tables (full 2^(2^n) scans, cross-checked
 # against the frozenset reference below for n <= 4).
@@ -190,6 +191,61 @@ def test_f_at_n7(a, expected, nodes):
     assert result.nodes == nodes
 
 
+@pytest.mark.stretch
+def test_f85_past_the_relabelling_cap():
+    # at n = 8 _RELABEL_CAP binds, and the include tables hold 256 bits
+    result = compute_f(8, 5)
+    assert (result.value, result.nodes, result.proven_optimal) == (9, 598_805, True)
+    assert result.witness.masks == _F_WITNESS_9
+
+
+def test_budget_sweep_is_pinned():
+    # a run of nodes that cannot include their mask is counted in one step;
+    # every budget must still stop at the node, value and witness it did
+    # when each node was counted on its own
+    rows = []
+    for compute, kind, n, k, budgets in ((compute_f, "f", 5, 5, range(1, 3612, 7)),
+                                         (compute_g, "g", 5, 15, range(1, 10321, 101))):
+        for b in budgets:
+            result = compute(n, k, SearchBudget(max_nodes=b))
+            rows.append([kind, n, k, b, result.value, result.nodes, result.proven_optimal,
+                         list(result.witness.masks)])
+    assert len(rows) == 619
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "aec24fdf444cdd5d7b800e842c24bfbe37ccc6a0d78916cd6038a83d2ac69fa8")
+
+
+@pytest.mark.parametrize("compute,n,k,nodes", [(compute_f, 5, 5, 3_611),
+                                               (compute_g, 5, 15, 10_320)])
+def test_include_decisions_match_the_member_scan(monkeypatch, compute, n, k, nodes):
+    # a visit that asks the kernel to stop at every node sees each node's
+    # children: its exclude child always, its include child exactly when
+    # the member-by-member scan allows the include
+    kernel = search._depth_first
+    caps = {}
+
+    def every_node(n, budget, visit):
+        def step(i, size, used, top, included):
+            result = visit(i, size, used, top, included)
+            caps[i, tuple(included)] = result and result[0]
+            return result and (result[0], i + 1)
+        return kernel(n, budget, step)
+
+    monkeypatch.setattr(search, "_depth_first", every_node)
+    assert compute(n, k).nodes == nodes == len(caps)
+    order = search._branch_order(n)
+    levels = [mask.bit_count() for mask in order]
+    checked = 0
+    for (i, members), cap in caps.items():
+        if cap is None or 2 <= levels[i] < n and levels[i] != levels[i - 1]:
+            continue  # cut, or a boundary node, which may be an isomorph
+        assert (i + 1, members) in caps
+        allowed = include_allowed_reference(n, members, order[i], cap)
+        assert ((i + 1, members + (order[i],)) in caps) == allowed, (i, members)
+        checked += allowed
+    assert checked > 100
+
+
 def test_f_n5_table_against_frozen_values():
     for a, v in F_TABLE_N5.items():
         result = compute_f(5, a)
@@ -251,6 +307,51 @@ def test_f_time_budget_returns_valid_lower_bound(monkeypatch):
     assert is_union_closed(result.witness)
     assert max_frequency(result.witness).count <= 6
     assert len(result.witness) == result.value <= 10
+
+
+def _single_ticks(meter, count):
+    for _ in range(count):
+        if not meter.tick():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("count", range(1, 21))
+def test_a_batch_tick_stops_where_single_ticks_stop(count):
+    for max_nodes in range(1, 51):
+        batch, single = (Meter(SearchBudget(max_nodes=max_nodes)) for _ in range(2))
+        for _ in range(max_nodes // count + 3):
+            assert batch.tick(count) == _single_ticks(single, count)
+            assert (batch.nodes, batch.exhausted) == (single.nodes, single.exhausted)
+
+
+class _CountingClock:
+    """The clock of test_f_time_budget_returns_valid_lower_bound, 0.1 s
+    more per reading, counting its readings."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def perf_counter(self):
+        self.reads += 1
+        return (self.reads - 1) / 10
+
+
+@pytest.mark.parametrize("count", range(1, 21))
+def test_a_batch_tick_reads_the_clock_where_single_ticks_do(monkeypatch, count):
+    def trace(ticks, budget, every):
+        clock = _CountingClock()
+        monkeypatch.setattr("frankl_lab.budget.time", clock)
+        meter = Meter(budget, every)
+        return [(ticks(meter), meter.nodes, meter.exhausted, clock.reads) for _ in range(12)]
+
+    # time limits alone and under a node limit
+    for every in (1, 3, 4):
+        for budget in (SearchBudget(max_seconds=0.15), SearchBudget(max_seconds=0.55),
+                       SearchBudget(max_nodes=20, max_seconds=0.35),
+                       SearchBudget(max_nodes=20, max_seconds=0.95)):
+            assert (trace(lambda meter: meter.tick(count), budget, every)
+                    == trace(lambda meter: _single_ticks(meter, count), budget, every))
 
 
 def test_f_argument_validation():
@@ -610,7 +711,7 @@ def test_isomorph_cuts_keep_one_family_per_class_at_each_boundary():
         # holds the same family one index later
         if i - 1 in passed and (not included or included[-1] != order[i - 1]):
             passed[i - 1].append(tuple(included))
-        return None if i == 1 << n else 1 << (n - 1)
+        return None if i == 1 << n else (1 << (n - 1), i + 1)
 
     search._depth_first(n, SearchBudget(), visit)
     for i in boundaries:
