@@ -44,20 +44,36 @@ no floating point is ever involved, so "c_k >= 1" checks are proofs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Multipliers and per-cardinality coefficients for one ground size."""
+    """The three multipliers for one ground size, and the per-cardinality
+    coefficients they give."""
 
     n: int
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
-    coefficients: dict[int, Fraction]
+
+    @cached_property
+    def coefficients(self) -> dict[int, Fraction]:
+        """c_k, the coefficient a k-element set collects, for k = 0..n."""
+        n, alpha, beta, gamma = self.n, self.alpha, self.beta, self.gamma
+        coeff = {
+            0: Fraction(1),
+            1: alpha + comb(n - 1, 2) * beta,
+            2: 2 * alpha + (n - 2) * beta + comb(n - 2, 2) * gamma,
+            3: 3 * alpha - 3 * beta,
+            4: 4 * alpha - 3 * gamma,
+        }
+        for k in range(5, n + 1):
+            coeff[k] = k * alpha
+        return coeff
 
     def to_json(self) -> dict:
         return {
@@ -124,17 +140,7 @@ def make_certificate(n: int) -> DualCertificate:
     """
     if type(n) is not int:
         raise ValueError(f"n must be an int, got {n!r}")
-    alpha, beta, gamma = _multipliers(n)
-    coeff: dict[int, Fraction] = {
-        0: Fraction(1),
-        1: alpha + comb(n - 1, 2) * beta,
-        2: 2 * alpha + (n - 2) * beta + comb(n - 2, 2) * gamma,
-        3: 3 * alpha - 3 * beta,
-        4: 4 * alpha - 3 * gamma,
-    }
-    for k in range(5, n + 1):
-        coeff[k] = k * alpha
-    return DualCertificate(n, alpha, beta, gamma, coeff)
+    return DualCertificate(n, *_multipliers(n))
 
 
 def verify_certificate(cert: DualCertificate) -> CertificateReport:

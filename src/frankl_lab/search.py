@@ -119,7 +119,7 @@ def _f_table(n: int) -> list[tuple[int, tuple[int, ...]]]:
 # ---------------------------------------------------------------------------
 # the depth-first kernel
 
-_BB_MAX_N = 11  # the 4-bit colour-profile digits of _refine need n < 16
+_BB_MAX_N = 11  # a chosen ceiling: 2^n include tables of 2^n bits, 512 KiB at n = 11
 # The partial relabellings _automorphisms may try for one node, and the
 # images _orbit may list for one child.  [7] has this many partial
 # relabellings, so at n <= 7 every group and orbit is whole.
@@ -265,15 +265,15 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
     A cut drops an image of a family kept; visit's return value depends on
     `included` only up to a relabelling, and its incumbent only improves.
 
-    The nodes wait on an explicit stack of exclude frames
-    (i, size, used, top, P, allowed), P the nearest boundary ancestor's
-    (group, table, member count, set), freed with the last frame of its
-    subtree, and None markers; a path of 2^n + 1 nodes needs no raised
-    recursion limit.  Including a mask pushes the exclude frame and a None
-    marker that undoes the include, then goes on with the include child in
-    place.  Once the budget has run out, each frame left is still counted,
-    then dropped.  Returns the meter: node count, seconds, and whether the
-    budget ran out.
+    The nodes wait on an explicit stack of exclude frames (i, top, P,
+    allowed), P the nearest boundary ancestor's (group, table, member
+    count, set), freed with the last frame of its subtree; a path of
+    2^n + 1 nodes needs no raised recursion limit.  Including order[i-1]
+    pushes the frame of node i and goes on with the include child in
+    place; popping the frame undoes the include (`top` is in the frame, as
+    a maximum does not undo).  The search returns at its first failed
+    tick, so each node counted is one it reached.  Returns the meter: node
+    count, seconds, and whether the budget ran out.
     """
     if n > _BB_MAX_N:
         raise ValueError(f"branch-and-bound search capped at n = {_BB_MAX_N}, got {n}")
@@ -290,23 +290,12 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
     freq = [0] * n
     sat, sat_cap = (1 << n) - 1, 0  # sat: the elements e with freq[e] >= sat_cap
     included: list[int] = []
-    inc_bits = 0
-    stack: list = [(0, 0, 0, 0, (_automorphisms(n, [], elems), 0, 0, set()), full)]
-    while stack:
-        frame = stack.pop()
-        if frame is None:
-            mask = included.pop()
-            inc_bits ^= 1 << mask
-            for e in elems[mask]:
-                if freq[e] == sat_cap:
-                    sat ^= 1 << e
-                freq[e] -= 1
-            continue
-        i, size, used, top, parent, allowed = frame
-        if not meter.tick():
-            continue
+    inc_bits = used = 0
+    stack: list[tuple] = []
+    i, top, parent, allowed = 0, 0, (_automorphisms(n, [], elems), 0, 0, set()), full
+    while meter.tick():
         while True:  # node i, counted; its include child continues in place
-            step = visit(i, size, used, top, included)
+            step = visit(i, len(included), used, top, included)
             if step is None:
                 break
             cap, end = step
@@ -331,9 +320,8 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
                 mask = order[j]
             else:
                 if j > i and not meter.tick(j - i):
-                    break
-                stack.append((j + 1, size, used, top, parent, allowed))
-                stack.append(None)
+                    return meter
+                stack.append((j + 1, top, parent, allowed))
                 es = elems[mask]
                 for e in es:
                     freq[e] += 1
@@ -343,6 +331,7 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
                         sat |= 1 << e
                 included.append(mask)
                 inc_bits |= 1 << mask
+                used += len(es)
                 # keep the masks m with m | mask a member: the members that
                 # contain mask, with any part of mask removed (a shift by
                 # 2^e removes e, and every entry still holds the rest of mask)
@@ -350,13 +339,23 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
                 for e in es:
                     table |= table >> (1 << e)
                 allowed &= table
-                i, size, used = j + 1, size + 1, used + len(es)
+                i = j + 1
                 if not meter.tick():
-                    break
+                    return meter
                 continue
             if not meter.tick(j - i):
-                break
+                return meter
             i = j
+        if not stack:
+            return meter
+        i, top, parent, allowed = stack.pop()
+        mask = included.pop()
+        inc_bits ^= 1 << mask
+        used -= len(elems[mask])
+        for e in elems[mask]:
+            if freq[e] == sat_cap:
+                sat ^= 1 << e
+            freq[e] -= 1
     return meter
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from frankl_lab import (bar_f, bar_f_diag, bound_table, make_certificate,
+from frankl_lab import (DualCertificate, bar_f, bar_f_diag, bound_table, make_certificate,
                         verify_certificate)
 
 F = Fraction
@@ -36,6 +36,16 @@ def test_c4_slack_at_n7_is_39_80():
     slack = {c.name: c.slack for c in report.checks}
     assert slack["c_4 >= 1"] == F(39, 80)
     assert report.passed
+
+
+def test_zero_multipliers_fail_the_coefficient_checks():
+    # the coefficients follow from the multipliers: a certificate cannot
+    # carry unit coefficients that its multipliers do not give
+    report = verify_certificate(DualCertificate(7, F(0), F(0), F(0)))
+    assert not report.passed
+    failed = [c.name for c in report.checks if not c.passed]
+    assert "c_1 == 1" in failed
+    assert {c.name: c.slack for c in report.checks}["c_1 == 1"] == -1
 
 
 def test_rejects_small_n():

@@ -93,7 +93,7 @@ def test_g_complement_budget_spent_before_the_first_candidate(capsys, monkeypatc
 
 @pytest.mark.parametrize("argv,code,line", [
     (("g", "--n", "4", "--m", "13"), 0, "g(4,13) = 8 [proven optimal], 64 nodes"),
-    (("g", "--n", "5", "--m", "20", "--max-nodes", "100"), 2,
+    (("g", "--n", "5", "--m", "20", "--max-nodes", "115"), 2,
      "g(5,20) = 12 [upper bound (budget hit)], 116 nodes"),
     (("lp", "--n", "3", "--a", "3"), 0, "f_r(3,3) = 13/2 (~6.5000), floor 6, 12 pivots"),
     (("lp", "--n", "4", "--a", "4", "--max-nodes", "5"), 2,
@@ -176,11 +176,26 @@ def test_search_layer_output_is_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == SEARCH_LAYER_DIGESTS[command]
 
 
+# the whole acceptance battery and every claim, neither under a budget:
+# the outputs a change to an engine's internals leaves byte-identical
+BATTERY_DIGESTS = {
+    "check --format json --stable": "d629d5c373314590",
+    "verify --claim all --format json": "7d9ef80ed2dce097",
+}
+
+
+@pytest.mark.parametrize("command", BATTERY_DIGESTS)
+def test_battery_output_is_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == BATTERY_DIGESTS[command]
+
+
 # the text and CSV output of every command, the partial-run exits among
 # them: first 16 hex digits of the SHA-256 of stdout and of stderr, and the
 # exit code (none of these outputs has a clock field)
 CLI_TEXT_DIGESTS = {
-    "f --n 5 --a 5 --max-nodes 10": ("dde2750589b49841", "e3b0c44298fc1c14", 2),
+    "f --n 5 --a 5 --max-nodes 10": ("f5e1cb1106baa165", "e3b0c44298fc1c14", 2),
     "g --n 7 --m 122 --max-nodes 5": ("6076df694e0e4aea", "e3b0c44298fc1c14", 2),
     "lp --n 3 --a 3": ("487180046cbe0dad", "e3b0c44298fc1c14", 0),
     "lp --n 4 --a 4 --max-nodes 3": ("8d5f2da4c8fe26dd", "e3b0c44298fc1c14", 2),

@@ -475,7 +475,7 @@ def test_integer_checks_match_fraction_reference_on_the_n7_certificate():
     _assert_checks_match_reference(p, primal, dual)
 
 
-@pytest.mark.parametrize("n", [8, pytest.param(9, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("n", [8, 9])
 def test_integer_checks_match_fraction_reference_on_larger_certificates(n):
     p = build_relaxation(n, n)
     dual = certificate_to_dual(make_certificate(n), p)

@@ -154,7 +154,7 @@ _F_WITNESS_9 = (0, 1, 2, 3, 4, 5, 6, 7, 15)
     ("f", 5, 5, None, 9, 3_611, True, _F_WITNESS_9),
     ("f", 6, 5, None, 9, 23_000, True, _F_WITNESS_9),
     ("f", 6, 6, None, 10, 53_394, True, (0, 1, 2, 3, 4, 5, 6, 7, 11, 15)),
-    ("f", 5, 5, 50, 9, 56, False, _F_WITNESS_9),
+    ("f", 5, 5, 50, 9, 51, False, _F_WITNESS_9),
     ("g", 5, 15, None, 8, 10_320, True,
      (3, 4, 7, 8, 11, 12, 15, 16, 19, 20, 23, 24, 27, 28, 31)),
     ("g", 5, 20, None, 12, 18_702, True,
@@ -162,14 +162,14 @@ _F_WITNESS_9 = (0, 1, 2, 3, 4, 5, 6, 7, 15)
     ("g", 5, 24, None, 14, 14_262, True,
      (0, 3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 19, 21, 22, 23, 25, 26, 27, 28,
       29, 30, 31)),
-    ("g", 5, 20, 100, 12, 116, False,
+    ("g", 5, 20, 100, 12, 101, False,
      (0, 3, 7, 11, 12, 13, 14, 15, 16, 19, 21, 22, 23, 25, 26, 27, 28, 29, 30, 31)),
-    ("f", 6, 6, 999, 10, 1_006, False, (0, 1, 2, 3, 4, 5, 6, 7, 11, 15)),
-    ("f", 7, 7, 20_000, 12, 20_009, False, (0, 1, 2, 3, 4, 5, 6, 7, 11, 13, 14, 15)),
+    ("f", 6, 6, 999, 10, 1_000, False, (0, 1, 2, 3, 4, 5, 6, 7, 11, 15)),
+    ("f", 7, 7, 20_000, 12, 20_001, False, (0, 1, 2, 3, 4, 5, 6, 7, 11, 13, 14, 15)),
     ("g", 2, 1, None, 0, 6, True, (0,)),
     ("g", 3, 3, None, 2, 36, True, (3, 4, 7)),
     ("g", 4, 5, None, 3, 207, True, (0, 7, 11, 12, 15)),
-    ("g", 4, 11, 100, 7, 109, False, (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15)),
+    ("g", 4, 11, 100, 7, 101, False, (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15)),
 ])
 def test_branch_and_bound_path_is_pinned(kind, n, k, budget, value, nodes, proven, masks):
     # value, node count and first-met witness of the search in its fixed order
@@ -201,8 +201,8 @@ def test_f85_past_the_relabelling_cap():
 
 def test_budget_sweep_is_pinned():
     # a run of nodes that cannot include their mask is counted in one step;
-    # every budget must still stop at the node, value and witness it did
-    # when each node was counted on its own
+    # every budget must still stop at the value and witness it did when
+    # each node was counted on its own, and a stop counts max_nodes + 1
     rows = []
     for compute, kind, n, k, budgets in ((compute_f, "f", 5, 5, range(1, 3612, 7)),
                                          (compute_g, "g", 5, 15, range(1, 10321, 101))):
@@ -211,8 +211,9 @@ def test_budget_sweep_is_pinned():
             rows.append([kind, n, k, b, result.value, result.nodes, result.proven_optimal,
                          list(result.witness.masks)])
     assert len(rows) == 619
+    assert all(row[5] == row[3] + 1 for row in rows if not row[6])
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-        "aec24fdf444cdd5d7b800e842c24bfbe37ccc6a0d78916cd6038a83d2ac69fa8")
+        "2265a095361dfe58195e4e0818189de3bf7c575410e0a58aa0c641c4cb578eec")
 
 
 @pytest.mark.parametrize("compute,n,k,nodes", [(compute_f, 5, 5, 3_611),
@@ -352,6 +353,27 @@ def test_a_batch_tick_reads_the_clock_where_single_ticks_do(monkeypatch, count):
                        SearchBudget(max_nodes=20, max_seconds=0.95)):
             assert (trace(lambda meter: meter.tick(count), budget, every)
                     == trace(lambda meter: _single_ticks(meter, count), budget, every))
+
+
+def test_single_ticks_read_the_clock_at_steps_one_and_every_past_it(monkeypatch):
+    # steps 1, every + 1, 2 * every + 1, ...; never at the step past a node
+    # budget, and never once the meter is spent
+    def steps_read(budget):
+        clock = _CountingClock()
+        monkeypatch.setattr("frankl_lab.budget.time", clock)
+        meter = Meter(budget, every=4)
+        steps = []
+        for step in range(1, 13):
+            reads = clock.reads
+            meter.tick()
+            if clock.reads > reads:
+                steps.append(step)
+        return steps
+
+    assert steps_read(SearchBudget(max_seconds=100.0)) == [1, 5, 9]
+    assert steps_read(SearchBudget(max_nodes=8, max_seconds=100.0)) == [1, 5]
+    # spent at step 5, when the clock reads 0.2 s
+    assert steps_read(SearchBudget(max_seconds=0.15)) == [1, 5]
 
 
 def test_f_argument_validation():
@@ -581,7 +603,7 @@ def test_no_search_raises_the_recursion_limit(monkeypatch):
     monkeypatch.setattr(sys, "setrecursionlimit", lambda limit: (calls.append(limit),
                                                                  set_limit(limit)))
     result = compute_f(11, 1023, SearchBudget(max_nodes=2500))
-    assert (result.value, result.nodes, result.proven_optimal) == (2037, 4535, False)
+    assert (result.value, result.nodes, result.proven_optimal) == (2037, 2501, False)
     assert calls == []
 
 
