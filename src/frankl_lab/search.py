@@ -22,16 +22,19 @@ Three engines:
                and closure is enforced incrementally.  Each node includes
                its mask (if the family stays closed and no element
                frequency passes a cap), then excludes it.  The include test
-               is two bit tests, against a table of the masks that keep
-               the family closed and the set of elements at the cap.  A
-               visit function carries each caller's incumbent and bound,
-               and also names the first later node its bound would cut:
-                 f  cap a; prunes on incumbent size plus remaining
-                    capacity;
-                 g  cap one below the incumbent; prunes on a lower bound
-                    from the frequency slots needed.
-               A node that cannot include its mask changes nothing, so the
-               kernel skips runs of them, to the node the bound cuts, the
+               is one bit test, against a table of the masks that keep the
+               family closed and touch no element at the cap; `room`, the
+               masks of that table still ahead in the order, bounds what
+               the family can gain.  A visit function carries each
+               caller's incumbent and bound:
+                 f  cap a; prunes when the incumbent size is not beaten by
+                    the size plus the least of room and the remaining
+                    frequency slots;
+                 g  cap one below the incumbent; prunes when room cannot
+                    reach m sets, or on a lower bound from the frequency
+                    slots needed.
+               A node that cannot include its mask changes neither the
+               family nor room, so the kernel skips runs of them, to the
                next includable mask or the next popcount level, and counts
                the nodes skipped.  It also cuts isomorphs at the first mask
                of each popcount level by sibling orbits (McKay, J.
@@ -232,24 +235,30 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
     mask, if the family stays union-closed and no element frequency
     exceeds the cap; then it excludes it.  Each node, a leaf i == 2^n
     included, counts against the budget.  The kernel calls
-    visit(i, size, used, top, included): `included` holds the members in
-    branch order, `used` is the sum and `top` the maximum of the element
-    frequencies.  visit does the caller's incumbent and bound bookkeeping
-    and returns None to cut the node (it must at a leaf), or (cap, end):
-    cap is the frequency cap for including order[i], and end is the first
-    index at which visit would cut if the family stayed the same.
+    visit(i, size, used, top, room, included): `included` holds the members
+    in branch order, `used` is the sum and `top` the maximum of the element
+    frequencies, and `room` is the number of masks in order[i:] that the
+    include test admits now.  No later member can come from outside them,
+    so room bounds what the family can still gain.  visit does the caller's
+    incumbent and bound bookkeeping and returns None to cut the node (it
+    must at a leaf), or the frequency cap for including order[i].  The cap
+    may fall during the search, never rise.
 
-    The include test is two bit tests.  `allowed` is the table of the masks
-    m with m | t a member for every member t; every union of two members
-    lies earlier in the order than both, so the family stays closed iff
-    order[i] is in it.  Including S keeps the masks m with m | S a member:
-    the members that contain S, each with any part of S removed.  `sat`
-    holds the elements whose frequency has reached the cap.  An exclude-only
-    node leaves the family, and so visit's answer, unchanged: from node i
-    the kernel scans on to the first node j that is `end`, the first of a
-    popcount level, or can include its mask.  It counts the nodes i+1..j in
-    one step and visits none of them but a node j that is `end` or the
-    first of a level.
+    The include test is one bit test.  `allowed` is the table of the masks
+    m with m | t a member for every member t and no element at the cap;
+    every union of two members lies earlier in the order than both, so
+    order[i] may be included iff it is in the table.  Including S keeps the
+    masks m with m | S a member: the members that contain S, each with any
+    part of S removed; an element that S brings to the cap drops the masks
+    that hold it.  A frame holds `allowed` under the cap of its push, so
+    when visit returns a lower cap the kernel drops the masks that hold an
+    element at the new cap and, if room shrank, asks visit again.  room is
+    then exact, and a node that cannot include its mask changes neither
+    the family nor room: from node i the kernel scans on to the first node
+    j that can include its mask or is the first of a popcount level.  It
+    counts the nodes i+1..j in one step and visits none of them but a node
+    j that is the first of a level.  The empty set, last in the order, is
+    always admissible, so the scan ends inside the order.
 
     Isomorph rejection: at a boundary-k node, the first mask of popcount k
     (n-1 >= k >= 2), the family is F_P | S: P is the boundary-(k+1)
@@ -262,11 +271,13 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
     inc_bits is in P's set, else it adds F_P | g(S) for each g in Aut(F_P)
     (_orbit).  At n <= 7 groups and orbits are whole, so a boundary keeps
     one family per S_n-class reaching it; past _RELABEL_CAP fewer are cut.
-    A cut drops an image of a family kept; visit's return value depends on
-    `included` only up to a relabelling, and its incumbent only improves.
+    A cut drops an image of a family kept.  At a boundary order[i:] is
+    every mask of popcount k or less, so room too is kept by relabelling:
+    visit's return value depends on the node only up to a relabelling, and
+    its incumbent only improves.
 
     The nodes wait on an explicit stack of exclude frames (i, top, P,
-    allowed), P the nearest boundary ancestor's (group, table, member
+    allowed, cap), P the nearest boundary ancestor's (group, table, member
     count, set), freed with the last frame of its subtree; a path of
     2^n + 1 nodes needs no raised recursion limit.  Including order[i-1]
     pushes the frame of node i and goes on with the include child in
@@ -281,27 +292,37 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
     elems = [tuple(e for e in range(n) if mask >> e & 1) for mask in range(1 << n)]
     planes = element_planes(n)
     full = (1 << (1 << n)) - 1
+    clear = [full ^ plane for plane in planes]  # clear[e]: the masks without e
     supersets = [full]  # supersets[mask]: the table of the masks that contain mask
     for mask in range(1, 1 << n):
         supersets.append(supersets[mask & (mask - 1)] & planes[(mask & -mask).bit_length() - 1])
+    suffix = [0]  # suffix[i]: the table of order[i:], built from the end
+    for mask in reversed(order):
+        suffix.append(suffix[-1] | 1 << mask)
+    suffix.reverse()
     levels = [mask.bit_count() for mask in order]
     boundary = [2 <= k < n and k != levels[i - 1] for i, k in enumerate(levels)]
     meter = Meter(budget, every=4096)
     freq = [0] * n
-    sat, sat_cap = (1 << n) - 1, 0  # sat: the elements e with freq[e] >= sat_cap
     included: list[int] = []
     inc_bits = used = 0
     stack: list[tuple] = []
-    i, top, parent, allowed = 0, 0, (_automorphisms(n, [], elems), 0, 0, set()), full
+    # `allowed` drops the masks with an element at the cap `narrowed`; at the root no cap yet
+    i, top, parent = 0, 0, (_automorphisms(n, [], elems), 0, 0, set())
+    allowed, narrowed = full, None
     while meter.tick():
         while True:  # node i, counted; its include child continues in place
-            step = visit(i, len(included), used, top, included)
-            if step is None:
+            room = (allowed & suffix[i]).bit_count()
+            cap = visit(i, len(included), used, top, room, included)
+            if cap is None:
                 break
-            cap, end = step
-            if cap != sat_cap:
-                sat_cap = cap
-                sat = sum([1 << e for e in range(n) if freq[e] >= cap])
+            if cap != narrowed:
+                narrowed = cap
+                for e in range(n):
+                    if freq[e] >= cap:
+                        allowed &= clear[e]
+                if (allowed & suffix[i]).bit_count() < room:
+                    continue  # the cap fell and room with it: visit node i again
             if boundary[i]:
                 group, base, start, met = parent
                 if inc_bits in met:
@@ -309,26 +330,26 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
                 met.update([base | t for t in _orbit(included[start:], group, elems)])
                 if levels[i] > 2:
                     parent = (_automorphisms(n, included, elems), inc_bits, len(included), set())
-            # the exclude-only run from node i: j stops at `end`, at the
-            # next boundary, or at the first mask that can be included
+            # the exclude-only run from node i: j stops at the first mask
+            # that can be included or at the next boundary
             j = i
             mask = order[i]
-            while sat & mask or not allowed >> mask & 1:
+            while not allowed >> mask & 1:
                 j += 1
-                if j >= end or boundary[j]:
+                if boundary[j]:
                     break
                 mask = order[j]
             else:
                 if j > i and not meter.tick(j - i):
                     return meter
-                stack.append((j + 1, top, parent, allowed))
+                stack.append((j + 1, top, parent, allowed, narrowed))
                 es = elems[mask]
                 for e in es:
                     freq[e] += 1
                     if freq[e] > top:
                         top = freq[e]
                     if freq[e] == cap:
-                        sat |= 1 << e
+                        allowed &= clear[e]
                 included.append(mask)
                 inc_bits |= 1 << mask
                 used += len(es)
@@ -348,13 +369,11 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
             i = j
         if not stack:
             return meter
-        i, top, parent, allowed = stack.pop()
+        i, top, parent, allowed, narrowed = stack.pop()
         mask = included.pop()
         inc_bits ^= 1 << mask
         used -= len(elems[mask])
         for e in elems[mask]:
-            if freq[e] == sat_cap:
-                sat ^= 1 << e
             freq[e] -= 1
     return meter
 
@@ -370,17 +389,16 @@ def _bb_f(n: int, a: int, budget: SearchBudget) -> SearchResult:
     table = _f_table(EXHAUSTIVE_MAX_N)
     best_size, best_masks = table[min(a, len(table) - 1)]
 
-    def visit(i, size, used, top, included):
+    def visit(i, size, used, top, room, included):
         nonlocal best_size, best_masks
         if size > best_size:
             best_size, best_masks = size, tuple(sorted(included))
         if i == length:
             return None
-        # the empty set sits at the end of the order and costs no slots
-        if size + 1 + min(length - i - 1, n * a - used) <= best_size:
+        # room counts the empty set, which is always admissible and costs no slots
+        if size + 1 + min(room - 1, n * a - used) <= best_size:
             return None
-        # from index length - best_size + size on, even every mask left adds too few
-        return a, min(length, length - best_size + size)
+        return a
 
     meter = _depth_first(n, budget, visit)
     witness = SetFamily(n, best_masks)
@@ -433,26 +451,28 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> SearchResult:
     (|U|-1)-subsets are present, since their union is U; all of those
     subsets come before U in the order, so the prune is exact.  Each
     complete choice is a candidate, checked by _complement_closed.  The
-    incumbent starts at the top slice, the first candidate met, so a
-    budget stop before it still returns a family.
+    missing masks travel as a membership table, so the prune counts the
+    missing subsets with one AND.  The incumbent starts at the top slice,
+    the first candidate met, so a budget stop before it still returns a
+    family.
     """
     full = 1 << n
     k = full - m
     half = 1 << (n - 1)
     order = sorted(range(full), key=lambda x: (x.bit_count(), x))
     elems = [[e for e in range(n) if u >> e & 1] for u in order]
-    below = [[u ^ (1 << e) for e in es] for u, es in zip(order, elems)]  # (|U|-1)-subsets
+    # below[j]: the table of the (|U|-1)-subsets of U = order[j]
+    below = [sum(1 << (u ^ (1 << e)) for e in es) for u, es in zip(order, elems)]
     meter = Meter(budget, every=4096)
     best_missing = tuple(sorted(order[:k]))  # the top slice's missing masks
     best_value = half - min(sum(u >> e & 1 for u in best_missing) for e in range(n))
     missing: list[int] = []
-    mset: set[int] = set()
     cover = [0] * n  # cover[e]: the missing masks that contain e
 
-    def rec(start: int) -> None:
+    def rec(start: int, mbits: int) -> None:
         nonlocal best_value, best_missing
         if len(missing) == k:
-            if not meter.tick() or not _complement_closed(missing, mset):
+            if not meter.tick() or not _complement_closed(missing, mbits):
                 return
             # among equal values the lexicographically smallest family is
             # the one whose sorted missing tuple is largest
@@ -467,38 +487,36 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> SearchResult:
             # |U| - 1 of them missing; sizes only grow from here
             if size - 1 > len(missing) or meter.exhausted:
                 return
-            if size >= 2 and size - len(mset.intersection(below[j])) >= 2:
+            if size >= 2 and size - (mbits & below[j]).bit_count() >= 2:
                 continue
             u = order[j]
             missing.append(u)
-            mset.add(u)
             for e in elems[j]:
                 cover[e] += 1
-            rec(j + 1)
+            rec(j + 1, mbits | 1 << u)
             for e in elems[j]:
                 cover[e] -= 1
-            mset.discard(u)
             missing.pop()
 
-    rec(0)
+    rec(0, 0)
     del rec  # the closure refers to itself: free it and its search state now, not at a GC pass
     witness = SetFamily(n, tuple(x for x in range(full) if x not in best_missing))
     return SearchResult(n, "m", m, best_value, witness, not meter.exhausted, meter.nodes,
                         meter.seconds)
 
 
-def _complement_closed(missing: list[int], mset: set[int]) -> bool:
-    """Is the power set minus `missing` (also given as the set `mset`)
-    union-closed?  Not iff some missing U != 0 is covered by its present
-    proper subsets: a missing S | T of present S and T is, and adding a
-    cover up one subset at a time passes from a present union to a
+def _complement_closed(missing: list[int], mbits: int) -> bool:
+    """Is the power set minus `missing` (also given as its membership table
+    `mbits`) union-closed?  Not iff some missing U != 0 is covered by its
+    present proper subsets: a missing S | T of present S and T is, and
+    adding a cover up one subset at a time passes from a present union to a
     missing one, the union of two present sets."""
     for u in missing:
         covered = 0
         s = u
         while s:
             s = (s - 1) & u
-            if s not in mset:
+            if not mbits >> s & 1:
                 covered |= s
         if u and covered == u:
             return False
@@ -515,24 +533,23 @@ def _top_slice_family(n: int, m: int) -> tuple[int, ...]:
 
 
 def _bb_g(n: int, m: int, budget: SearchBudget) -> SearchResult:
-    length = 1 << n
     best_masks = _top_slice_family(n, m)
     best_value = max_frequency(SetFamily(n, best_masks)).count
 
-    def visit(i, size, used, top, included):
+    def visit(i, size, used, top, room, included):
         nonlocal best_value, best_masks
         if size == m:
             if top < best_value:
                 best_value, best_masks = top, tuple(sorted(included))
             return None
-        if i == length or size + (length - i) < m:
+        # fewer masks can still be included than sets are still needed (a leaf has no room)
+        if size + room < m:
             return None
         # the empty set sits at the end of the order, so before a leaf it
         # is still available and one of the sets still needed costs no slots
         if max(top, -(-(used + max(0, m - size - 1)) // n)) >= best_value:
             return None
-        # past index length - m + size, fewer masks are left than sets still needed
-        return best_value - 1, min(length, length - m + size + 1)
+        return best_value - 1
 
     meter = _depth_first(n, budget, visit)
     witness = SetFamily(n, best_masks)

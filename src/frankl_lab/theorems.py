@@ -154,7 +154,7 @@ def verify_f_theorem(n: int, budget: SearchBudget = NO_BUDGET) -> VerificationRe
 
     The construction leg (lower bound) runs for any n <= 16.  The
     matching upper bound is the search value for n <= 6 (f(6,31) takes
-    247,812 nodes) and is skipped from n = 7 on; at n = 1 the frequency
+    182,376 nodes) and is skipped from n = 7 on; at n = 1 the frequency
     cap is 2^0 - 1 = 0 and the search degenerates to f(1,0) = 1 = |{emptyset}|.
     """
     if type(n) is not int:

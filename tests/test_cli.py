@@ -160,7 +160,7 @@ def test_lp_layer_json_is_pinned(capsys, command):
 # both engines, the n <= 4 tables behind them, and the f/g duality grid
 SEARCH_LAYER_DIGESTS = {
     "f --n 4 --a 4 --format json --stable": "afb5039ef87729e2",
-    "f --n 5 --a 5 --format json --stable": "340965aee33cc43c",
+    "f --n 5 --a 5 --format json --stable": "0577a3d946a68e81",
     "g --n 4 --m 13 --format json --stable": "9ded22354c17c911",
     "g --n 5 --m 28 --format json --stable": "9dd8839a2285f3a1",
     "witness --n 4 --a 7": "aba2b7e5c29e4b77",

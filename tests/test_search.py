@@ -151,15 +151,15 @@ _F_WITNESS_9 = (0, 1, 2, 3, 4, 5, 6, 7, 15)
 
 
 @pytest.mark.parametrize("kind,n,k,budget,value,nodes,proven,masks", [
-    ("f", 5, 5, None, 9, 3_611, True, _F_WITNESS_9),
-    ("f", 6, 5, None, 9, 23_000, True, _F_WITNESS_9),
-    ("f", 6, 6, None, 10, 53_394, True, (0, 1, 2, 3, 4, 5, 6, 7, 11, 15)),
+    ("f", 5, 5, None, 9, 1_227, True, _F_WITNESS_9),
+    ("f", 6, 5, None, 9, 8_322, True, _F_WITNESS_9),
+    ("f", 6, 6, None, 10, 17_449, True, (0, 1, 2, 3, 4, 5, 6, 7, 11, 15)),
     ("f", 5, 5, 50, 9, 51, False, _F_WITNESS_9),
-    ("g", 5, 15, None, 8, 10_320, True,
+    ("g", 5, 15, None, 8, 3_508, True,
      (3, 4, 7, 8, 11, 12, 15, 16, 19, 20, 23, 24, 27, 28, 31)),
-    ("g", 5, 20, None, 12, 18_702, True,
+    ("g", 5, 20, None, 12, 5_569, True,
      (0, 3, 7, 11, 12, 13, 14, 15, 16, 19, 21, 22, 23, 25, 26, 27, 28, 29, 30, 31)),
-    ("g", 5, 24, None, 14, 14_262, True,
+    ("g", 5, 24, None, 14, 5_077, True,
      (0, 3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 19, 21, 22, 23, 25, 26, 27, 28,
       29, 30, 31)),
     ("g", 5, 20, 100, 12, 101, False,
@@ -167,8 +167,8 @@ _F_WITNESS_9 = (0, 1, 2, 3, 4, 5, 6, 7, 15)
     ("f", 6, 6, 999, 10, 1_000, False, (0, 1, 2, 3, 4, 5, 6, 7, 11, 15)),
     ("f", 7, 7, 20_000, 12, 20_001, False, (0, 1, 2, 3, 4, 5, 6, 7, 11, 13, 14, 15)),
     ("g", 2, 1, None, 0, 6, True, (0,)),
-    ("g", 3, 3, None, 2, 36, True, (3, 4, 7)),
-    ("g", 4, 5, None, 3, 207, True, (0, 7, 11, 12, 15)),
+    ("g", 3, 3, None, 2, 21, True, (3, 4, 7)),
+    ("g", 4, 5, None, 3, 83, True, (0, 7, 11, 12, 15)),
     ("g", 4, 11, 100, 7, 101, False, (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15)),
 ])
 def test_branch_and_bound_path_is_pinned(kind, n, k, budget, value, nodes, proven, masks):
@@ -180,22 +180,28 @@ def test_branch_and_bound_path_is_pinned(kind, n, k, budget, value, nodes, prove
 
 
 @pytest.mark.stretch
-@pytest.mark.parametrize("a,expected,nodes", [(4, 8, 47_858), (5, 9, 122_250),
-                                              (6, 10, 327_844), (7, 12, 852_381)])
-def test_f_at_n7(a, expected, nodes):
+@pytest.mark.parametrize("a,expected,nodes,masks", [
+    (4, 8, 19_559, tuple(range(8))),
+    (5, 9, 48_911, _F_WITNESS_9),
+    (6, 10, 117_534, (0, 1, 2, 3, 4, 5, 6, 7, 11, 15)),
+    (7, 12, 234_549, (0, 1, 2, 3, 4, 5, 6, 7, 11, 13, 14, 15)),
+    (8, 16, 347_957, tuple(range(16))),
+])
+def test_f_at_n7(a, expected, nodes, masks):
     # at n = 7 the refined classes can admit exactly _RELABEL_CAP = 7!
     # relabellings, so the node counts pin the isomorph cuts at the cap
     result = compute_f(7, a)
     assert result.value == expected
     assert result.proven_optimal
     assert result.nodes == nodes
+    assert result.witness.masks == masks
 
 
 @pytest.mark.stretch
 def test_f85_past_the_relabelling_cap():
     # at n = 8 _RELABEL_CAP binds, and the include tables hold 256 bits
     result = compute_f(8, 5)
-    assert (result.value, result.nodes, result.proven_optimal) == (9, 598_805, True)
+    assert (result.value, result.nodes, result.proven_optimal) == (9, 280_444, True)
     assert result.witness.masks == _F_WITNESS_9
 
 
@@ -213,38 +219,74 @@ def test_budget_sweep_is_pinned():
     assert len(rows) == 619
     assert all(row[5] == row[3] + 1 for row in rows if not row[6])
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-        "2265a095361dfe58195e4e0818189de3bf7c575410e0a58aa0c641c4cb578eec")
+        "571bff59ef95d0abf972a3407932039639fcc47cd0d930e74979e5a7984d8960")
 
 
-@pytest.mark.parametrize("compute,n,k,nodes", [(compute_f, 5, 5, 3_611),
-                                               (compute_g, 5, 15, 10_320)])
+@pytest.mark.parametrize("compute,n,k,nodes", [(compute_f, 5, 5, 1_227),
+                                               (compute_g, 5, 15, 3_508)])
 def test_include_decisions_match_the_member_scan(monkeypatch, compute, n, k, nodes):
-    # a visit that asks the kernel to stop at every node sees each node's
-    # children: its exclude child always, its include child exactly when
-    # the member-by-member scan allows the include
+    # every visit, in order.  room must count exactly the masks of order[i:]
+    # that the member-by-member scan admits under the cap the kernel last
+    # narrowed to; from a node that visit lets pass, the kernel must skip
+    # exactly the masks the scan refuses, up to the next boundary or to the
+    # first mask it admits, which is included
     kernel = search._depth_first
-    caps = {}
+    calls = []
 
     def every_node(n, budget, visit):
-        def step(i, size, used, top, included):
-            result = visit(i, size, used, top, included)
-            caps[i, tuple(included)] = result and result[0]
-            return result and (result[0], i + 1)
+        def step(i, size, used, top, room, included):
+            cap = visit(i, size, used, top, room, included)
+            calls.append(((i, tuple(included)), room, cap))
+            return cap
         return kernel(n, budget, step)
 
     monkeypatch.setattr(search, "_depth_first", every_node)
-    assert compute(n, k).nodes == nodes == len(caps)
+    assert compute(n, k).nodes == nodes
     order = search._branch_order(n)
     levels = [mask.bit_count() for mask in order]
-    checked = 0
-    for (i, members), cap in caps.items():
-        if cap is None or 2 <= levels[i] < n and levels[i] != levels[i - 1]:
-            continue  # cut, or a boundary node, which may be an isomorph
-        assert (i + 1, members) in caps
-        allowed = include_allowed_reference(n, members, order[i], cap)
-        assert ((i + 1, members + (order[i],)) in caps) == allowed, (i, members)
-        checked += allowed
+    boundary = [2 <= d < n and d != levels[i - 1] for i, d in enumerate(levels)]
+
+    def admitted(members, cap, i):
+        return [include_allowed_reference(n, members, order[j], cap) for j in range(i, 1 << n)]
+
+    narrowed = {(0, ()): 1 << n}  # the cap each node's table is narrowed to; none at the root
+    excluded = set()
+    skipped = checked = again = 0
+    for t, ((i, members), room, cap) in enumerate(calls):
+        node = (i, members)
+        assert room == admitted(members, narrowed[node], i).count(True), node
+        if cap is None:
+            continue
+        after = calls[t + 1][0] if t + 1 < len(calls) else (-1, ())
+        scan = admitted(members, cap, i)
+        if after == node:  # the cap fell and room with it: node i is asked again
+            assert room > scan.count(True), node
+            narrowed[node] = cap
+            again += 1
+            continue
+        assert room == scan.count(True), node
+        if after[0] <= i:  # back to a frame: an isomorph cut
+            assert boundary[i], node
+            continue
+        j = i
+        while not scan[j - i] and not boundary[j + 1]:
+            j += 1
+        if scan[j - i]:
+            child = (j + 1, members + (order[j],))
+            excluded.add((j + 1, members))
+            narrowed[j + 1, members] = cap
+            checked += 1
+        else:  # the scan stops at the boundary j + 1, which the kernel visits
+            child = (j + 1, members)
+        skipped += j - i
+        assert after == child, node
+        narrowed[child] = cap
+    visited = {node for node, _, _ in calls}
+    assert excluded <= visited
+    assert nodes == len(visited) + skipped
     assert checked > 100
+    # the g search lowers its cap, so some nodes are asked again; the f search never is
+    assert again > 0 if compute is compute_g else again == 0
 
 
 def test_f_n5_table_against_frozen_values():
@@ -298,13 +340,13 @@ def test_f_budget_exhaustion_returns_valid_lower_bound():
 def test_f_time_budget_returns_valid_lower_bound(monkeypatch):
     # a clock that advances 0.1 s per reading: the node meter reads it on
     # the first node and then every 4,096 nodes, so a 0.15 s budget is
-    # spent at node 4,097, long before the 53,394 nodes of the full search
+    # spent at node 4,097, long before the 17,449 nodes of the full search
     ticks = count()
     monkeypatch.setattr("frankl_lab.budget.time",
                         SimpleNamespace(perf_counter=lambda: next(ticks) / 10))
     result = compute_f(6, 6, SearchBudget(max_seconds=0.15))
     assert not result.proven_optimal
-    assert 4096 < result.nodes < 53394
+    assert 4096 < result.nodes < 17449
     assert is_union_closed(result.witness)
     assert max_frequency(result.witness).count <= 6
     assert len(result.witness) == result.value <= 10
@@ -565,7 +607,7 @@ def test_complement_leaf_rule_matches_is_union_closed():
         full = 1 << n
         for k in range(full + 1) if n <= 3 else range(5):
             for missing in combinations(range(full), k):
-                closed = _complement_closed(list(missing), set(missing))
+                closed = _complement_closed(list(missing), sum(1 << m for m in missing))
                 assert closed == _complement_is_closed_reference(n, missing)
                 outcomes[closed] += 1
     assert outcomes[True] and outcomes[False]
@@ -577,9 +619,9 @@ def test_complement_leaf_rule_on_every_g658_candidate(monkeypatch):
     # leaf rule that accepts the 600 candidates that are not
     verdicts = []
 
-    def checked(missing, mset):
-        closed = _complement_closed(missing, mset)
-        assert closed == _complement_is_closed_reference(6, mset)
+    def checked(missing, mbits):
+        closed = _complement_closed(missing, mbits)
+        assert closed == _complement_is_closed_reference(6, set(missing))
         verdicts.append(closed)
         return closed
 
@@ -706,8 +748,8 @@ def test_a_node_past_the_relabelling_cap_cuts_fewer_isomorphs(monkeypatch):
     monkeypatch.setattr(search, "_RELABEL_CAP", 20)
     assert _automorphisms_on(8)(_cycle_edges(tuple(range(8)))) == []
     for compute, n, k, value, nodes, masks in (
-            (compute_f, 5, 5, 9, 3_611, _F_WITNESS_9),
-            (compute_g, 5, 20, 12, 18_702, (0, 3, 7, 11, 12, 13, 14, 15, 16, 19, 21, 22, 23, 25,
+            (compute_f, 5, 5, 9, 1_227, _F_WITNESS_9),
+            (compute_g, 5, 20, 12, 5_569, (0, 3, 7, 11, 12, 13, 14, 15, 16, 19, 21, 22, 23, 25,
                                             26, 27, 28, 29, 30, 31))):
         result = compute(n, k)
         assert (result.value, result.proven_optimal, result.witness.masks) == (value, True, masks)
@@ -718,24 +760,26 @@ def test_isomorph_cuts_keep_one_family_per_class_at_each_boundary():
     # with a visit that cuts nothing before a leaf, the families that pass
     # each boundary are exactly one per S_5-class of those that reach it
     n = 5
-    order = search._branch_order(n)
-    levels = [mask.bit_count() for mask in order]
+    levels = [mask.bit_count() for mask in search._branch_order(n)]
     boundaries = [i for i, k in enumerate(levels) if 2 <= k < n and k != levels[i - 1]]
     relabel = [[sum(1 << p[e] for e in range(n) if mask >> e & 1) for mask in range(1 << n)]
                for p in permutations(range(n))]
     reached = {i: [] for i in boundaries}
     passed = {i: [] for i in boundaries}
+    calls = []
 
-    def visit(i, size, used, top, included):
-        if i in reached:
-            reached[i].append(tuple(included))
-        # a boundary node that passes is expanded, and its exclude child
-        # holds the same family one index later
-        if i - 1 in passed and (not included or included[-1] != order[i - 1]):
-            passed[i - 1].append(tuple(included))
-        return None if i == 1 << n else (1 << (n - 1), i + 1)
+    def visit(i, size, used, top, room, included):
+        calls.append((i, tuple(included)))
+        return None if i == 1 << n else 1 << (n - 1)
 
     search._depth_first(n, SearchBudget(), visit)
+    # a boundary node that passes goes on along the order; after an
+    # isomorph cut the kernel returns to a frame at or before it
+    for (i, members), (after, _) in zip(calls, calls[1:]):
+        if i in reached:
+            reached[i].append(members)
+            if after > i:
+                passed[i].append(members)
     for i in boundaries:
         form = {masks: min(sorted(map(table.__getitem__, masks)) for table in relabel)
                 for masks in set(reached[i])}
