@@ -38,7 +38,12 @@ Three engines:
                next includable mask or the next popcount level, and counts
                the nodes skipped.  It also cuts isomorphs at the first mask
                of each popcount level by sibling orbits (McKay, J.
-               Algorithms 1998).
+               Algorithms 1998).  A node's group is the stabiliser of its
+               new members in its parent's: at n <= 7 every group is the
+               list of its elements, from S_n at the root, and one pass
+               over the parent's list gives both a child's orbit and its
+               group; past n = 7 each group is searched for as a chain of
+               transversals, cut short past a cap.
   complement   for g when few sets are missing (2^n - m <= n): choose the
                missing masks instead of the present ones, depth-first in
                ascending (popcount, value) order.  A choice is admissible
@@ -61,8 +66,10 @@ run, and compute_f and compute_g revalidate every witness they return.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, repeat
 
 from .budget import NO_BUDGET, Meter, SearchBudget
 from .families import (EXHAUSTIVE_MAX_N, MAX_GROUND_SIZE, SetFamily, element_planes,
@@ -125,7 +132,9 @@ def _f_table(n: int) -> list[tuple[int, tuple[int, ...]]]:
 _BB_MAX_N = 11  # a chosen ceiling: 2^n include tables of 2^n bits, 512 KiB at n = 11
 # The partial relabellings _automorphisms may try for one node, and the
 # images _orbit may list for one child.  [7] has this many partial
-# relabellings, so at n <= 7 every group and orbit is whole.
+# relabellings.  While n! is at most this cap (n <= 7) the kernel lists
+# every group element and calls neither, so the cap binds only at n >= 8,
+# where groups and orbits may be cut short.
 _RELABEL_CAP = sum(math.perm(7, d) for d in range(1, 8))  # 13,699
 
 
@@ -133,6 +142,39 @@ def _branch_order(n: int) -> list[int]:
     """Masks by descending popcount, then ascending value; the empty set
     lands last, and S|T of two incomparable masks precedes both."""
     return sorted(range(1 << n), key=lambda m: (-m.bit_count(), m))
+
+
+@lru_cache(maxsize=None)
+def _symmetric_group(n: int) -> tuple[bytes, ...]:
+    """S_n, n <= 7, as mask-image tables: g[mask] is the relabelled mask.
+    S_(k+1) is the cosets t S_k for t the identity and the transpositions
+    (j k), j < k, so each element is one bytes.translate of an element of
+    S_k through a 256-entry transposition table."""
+    group = [bytes(range(1 << n))]
+    for k in range(1, n):
+        swaps = [bytes(m ^ pair if (m & pair).bit_count() == 1 else m for m in range(256))
+                 for pair in (1 << j | 1 << k for j in range(k))]
+        group += [g.translate(t) for t in swaps for g in group]
+    return tuple(group)
+
+
+def _stabiliser(group: Sequence[bytes], members: list[int],
+                met: set[bytes]) -> list[bytes] | None:
+    """One pass over `group`, a list of mask-image tables closed under
+    inverses, for the set S = `members`: None if S's table (a 0/1 byte per
+    mask) is in `met` already; else adds the table of each image g(S) to
+    `met` and returns the elements that fix S, the stabiliser of S in
+    `group`."""
+    s = bytearray(256)
+    for mask in members:
+        s[mask] = 1
+    key = bytes(s[:len(group[0])])
+    if key in met:
+        return None
+    # g.translate(s) is the table of g^-1(S), and g^-1 runs over the group
+    images = list(map(bytes.translate, group, repeat(s)))
+    met.update(images)
+    return list(compress(group, map(key.__eq__, images)))
 
 
 def _automorphisms(n: int, masks: list[int],
@@ -265,16 +307,25 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
     ancestor (the root if k = n-1) and S the members of popcount k+1.
     Relabellings keep popcounts, so if the boundary-(k+1) nodes kept are
     pairwise non-isomorphic, two boundary-k nodes are isomorphic only if
-    they share P and their S lie in one orbit of Aut(F_P).  The root and
-    each kept boundary node with boundaries below find their group
-    (_automorphisms); a child that survives visit is cut if its table
-    inc_bits is in P's set, else it adds F_P | g(S) for each g in Aut(F_P)
-    (_orbit).  At n <= 7 groups and orbits are whole, so a boundary keeps
-    one family per S_n-class reaching it; past _RELABEL_CAP fewer are cut.
-    A cut drops an image of a family kept.  At a boundary order[i:] is
-    every mask of popcount k or less, so room too is kept by relabelling:
-    visit's return value depends on the node only up to a relabelling, and
-    its incumbent only improves.
+    they share P and their S lie in one orbit of Aut(F_P); and Aut(F_P | S)
+    is the stabiliser of S in Aut(F_P).  Two ways to hold the groups:
+      n! <= _RELABEL_CAP (n <= 7): a group is the list of its elements as
+        mask-image tables, S_n at the root (_symmetric_group).  A child
+        that survives visit is cut if S's table is in P's set; else one
+        pass over P's list (_stabiliser) adds the table of every g(S) to
+        the set and keeps the elements that fix S, the child's group if
+        boundaries lie below.  No group is searched for.
+      past the cap: the root and each kept boundary node with boundaries
+        below search for their group as a chain of transversals
+        (_automorphisms).  A child is cut if its table inc_bits is in P's
+        set, else it adds F_P | g(S) for each g in Aut(F_P) (_orbit).
+        Groups and orbits may be cut short at the cap, and fewer
+        isomorphs are cut.
+    At n <= 7 every group and orbit is whole, so a boundary keeps one
+    family per S_n-class reaching it.  A cut drops an image of a family
+    kept.  At a boundary order[i:] is every mask of popcount k or less, so
+    room too is kept by relabelling: visit's return value depends on the
+    node only up to a relabelling, and its incumbent only improves.
 
     The nodes wait on an explicit stack of exclude frames (i, top, P,
     allowed, cap), P the nearest boundary ancestor's (group, table, member
@@ -307,8 +358,11 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
     included: list[int] = []
     inc_bits = used = 0
     stack: list[tuple] = []
+    # every group a list of its elements, or a chain of transversals past the cap
+    listed = math.factorial(n) <= _RELABEL_CAP
     # `allowed` drops the masks with an element at the cap `narrowed`; at the root no cap yet
-    i, top, parent = 0, 0, (_automorphisms(n, [], elems), 0, 0, set())
+    root = _symmetric_group(n) if listed else _automorphisms(n, [], elems)
+    i, top, parent = 0, 0, (root, 0, 0, set())
     allowed, narrowed = full, None
     while meter.tick():
         while True:  # node i, counted; its include child continues in place
@@ -325,11 +379,18 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
                     continue  # the cap fell and room with it: visit node i again
             if boundary[i]:
                 group, base, start, met = parent
-                if inc_bits in met:
-                    break
-                met.update([base | t for t in _orbit(included[start:], group, elems)])
+                if not listed:
+                    if inc_bits in met:
+                        break
+                    met.update([base | t for t in _orbit(included[start:], group, elems)])
+                    if levels[i] > 2:
+                        group = _automorphisms(n, included, elems)
+                elif start < len(included):  # an empty S is its own orbit, fixed by all
+                    group = _stabiliser(group, included[start:], met)
+                    if group is None:
+                        break
                 if levels[i] > 2:
-                    parent = (_automorphisms(n, included, elems), inc_bits, len(included), set())
+                    parent = (group, inc_bits, len(included), set())
             # the exclude-only run from node i: j stops at the first mask
             # that can be included or at the next boundary
             j = i

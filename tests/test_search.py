@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, count, permutations
 from types import SimpleNamespace
 
@@ -186,10 +187,11 @@ def test_branch_and_bound_path_is_pinned(kind, n, k, budget, value, nodes, prove
     (6, 10, 117_534, (0, 1, 2, 3, 4, 5, 6, 7, 11, 15)),
     (7, 12, 234_549, (0, 1, 2, 3, 4, 5, 6, 7, 11, 13, 14, 15)),
     (8, 16, 347_957, tuple(range(16))),
+    (9, 17, 876_655, (0, 15, 16, 31, 32, 47, 48, 63, 64, 79, 80, 95, 96, 111, 112, 119, 127)),
 ])
 def test_f_at_n7(a, expected, nodes, masks):
-    # at n = 7 the refined classes can admit exactly _RELABEL_CAP = 7!
-    # relabellings, so the node counts pin the isomorph cuts at the cap
+    # at n = 7 every group is the list of its elements, S_7 at the root and
+    # a stabiliser below it, so the node counts pin whole isomorph cuts
     result = compute_f(7, a)
     assert result.value == expected
     assert result.proven_optimal
@@ -754,6 +756,113 @@ def test_a_node_past_the_relabelling_cap_cuts_fewer_isomorphs(monkeypatch):
         result = compute(n, k)
         assert (result.value, result.proven_optimal, result.witness.masks) == (value, True, masks)
         assert result.nodes > nodes
+
+
+@lru_cache(maxsize=None)
+def _relabellings(n):
+    """Every relabelling of [n] as a mask-image table, from permutations."""
+    return {p: bytes(sum(1 << p[e] for e in range(n) if mask >> e & 1) for mask in range(1 << n))
+            for p in permutations(range(n))}
+
+
+def _fixing(n, masks):
+    """The tables of the relabellings that map the set `masks` onto itself."""
+    family = frozenset(masks)
+    return {t for t in _relabellings(n).values() if frozenset(map(t.__getitem__, masks)) == family}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_symmetric_group_is_every_relabelling_once(n):
+    # n! distinct tables, each the relabelling by the permutation it applies
+    # to the singletons, are all of S_n
+    group = search._symmetric_group(n)
+    assert len(set(group)) == len(group) == math.factorial(n)
+    for g in group:
+        assert len(g) == 1 << n and g[0] == 0
+        assert sorted(g[1 << e] for e in range(n)) == [1 << e for e in range(n)]
+        assert all(g[m] == g[m & -m] | g[m & (m - 1)] for m in range(1, 1 << n))
+
+
+@pytest.mark.parametrize("compute,n,k", [(compute_f, 6, 6), (compute_g, 5, 15)])
+def test_each_listed_group_is_the_brute_force_group(monkeypatch, compute, n, k):
+    # at each boundary node the family is F_P | S: the orbit the list path
+    # adds must be S's under Aut(F_P), and the group it hands down Aut(F_P | S)
+    kernel, stabiliser = search._depth_first, search._stabiliser
+    family, calls = [], []
+
+    def every_node(n, budget, visit):
+        def step(i, size, used, top, room, included):
+            family[:] = included
+            return visit(i, size, used, top, room, included)
+        return kernel(n, budget, step)
+
+    def recording(group, members, met):
+        before = set(met)
+        result = stabiliser(group, members, met)
+        calls.append((tuple(family), tuple(members), result, met - before))
+        return result
+
+    monkeypatch.setattr(search, "_depth_first", every_node)
+    monkeypatch.setattr(search, "_stabiliser", recording)
+    compute(n, k)
+    kept = 0
+    for masks, members, group, added in calls:
+        if group is None:  # an isomorph cut adds nothing
+            assert not added
+            continue
+        rest = [mask for mask in masks if mask not in members]
+        assert {frozenset(m for m, b in enumerate(t) if b) for t in added} == {
+            frozenset(map(t.__getitem__, members)) for t in _fixing(n, rest)}, masks
+        assert len(set(group)) == len(group)
+        assert set(group) == _fixing(n, masks), masks
+        kept += 1
+    # f(6,6) keeps 223 boundary nodes and cuts 956 isomorphs; g(5,15) 70 and 509
+    assert kept >= 70 and len(calls) - kept >= 509
+
+
+def test_stabiliser_of_regular_families_is_the_brute_force_group():
+    # colour refinement cannot split these families; the listed S_7 has no
+    # use for it, and must still find each group and orbit whole
+    n = 7
+    group = list(search._symmetric_group(n))
+    for masks in _regular_families_n7(random.Random(n)):
+        met = set()
+        stabiliser = search._stabiliser(group, masks, met)
+        assert len(set(stabiliser)) == len(stabiliser)
+        assert set(stabiliser) == _fixing(n, masks) == {
+            _relabellings(n)[p] for p in _brute_automorphisms(n, masks)}
+        assert {frozenset(m for m, b in enumerate(t) if b) for t in met} == {
+            frozenset(map(t.__getitem__, masks)) for t in _relabellings(n).values()}
+        # met now holds every relabelling of the family, so it is a repeat
+        assert search._stabiliser(group, _relabel(n, masks, (6, 0, 1, 2, 3, 4, 5)), met) is None
+
+
+@pytest.mark.parametrize("compute,n,k", [(compute_f, 5, 5), (compute_f, 6, 6),
+                                         (compute_g, 5, 15), (compute_g, 5, 20)])
+def test_the_listed_and_chained_isomorph_engines_agree(monkeypatch, compute, n, k):
+    # two engines for one cut: groups listed element by element while n! is
+    # within _RELABEL_CAP, and past it a chain of transversals that
+    # _automorphisms searches for.  Forced past the cap at n <= 6, the chain
+    # is still whole, so the nodes, values and witnesses must agree
+    calls = []
+
+    def counted(name, engine):
+        def run(*args):
+            calls.append(name)
+            return engine(*args)
+        return run
+
+    for name in ("_stabiliser", "_automorphisms", "_orbit", "_refine"):
+        monkeypatch.setattr(search, name, counted(name, getattr(search, name)))
+    listed = compute(n, k)
+    assert set(calls) == {"_stabiliser"}
+    calls.clear()
+    monkeypatch.setattr(search, "math",
+                        SimpleNamespace(factorial=lambda n: search._RELABEL_CAP + 1))
+    chained = compute(n, k)
+    assert set(calls) == {"_automorphisms", "_orbit", "_refine"}
+    assert (chained.value, chained.nodes, chained.proven_optimal, chained.witness.masks) == (
+        listed.value, listed.nodes, listed.proven_optimal, listed.witness.masks)
 
 
 def test_isomorph_cuts_keep_one_family_per_class_at_each_boundary():
