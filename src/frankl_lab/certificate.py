@@ -37,8 +37,10 @@ there), and the certified value is
 with the diagonal closed form
 fbar(a, a) = (5a^4 - 12a^3 + 31a^2 - 24a + 48) / (12(a^2 - 3a + 4)).
 
-Everything here is a pure function of exact `fractions.Fraction` values;
-no floating point is ever involved, so "c_k >= 1" checks are proofs.
+Everything here is exact: multipliers are ints or `fractions.Fraction`
+values, never floats, so "c_k >= 1" checks are proofs.  For k >= 5 the
+check is decided in integers: with alpha = p/q in lowest terms (q > 0),
+c_k - 1 = (k*p - q)/q, so c_k >= 1 exactly when k*p >= q.
 """
 
 from __future__ import annotations
@@ -48,31 +50,49 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
 class DualCertificate:
     """The three multipliers for one ground size, and the per-cardinality
-    coefficients they give."""
+    coefficients they give.
+
+    Construction refuses what cannot be checked exactly: n must be an int
+    >= 5, the range `make_certificate` builds, and each multiplier an int
+    or a `Fraction`; a float or a bool raises `ValueError` naming the
+    field."""
 
     n: int
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
 
+    def __post_init__(self) -> None:
+        if type(self.n) is not int or self.n < 5:
+            raise ValueError(f"n must be an int >= 5, got {self.n!r}")
+        for name in ("alpha", "beta", "gamma"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
+
+    def _low_coefficients(self) -> tuple[Fraction, ...]:
+        """c_0..c_4, the coefficients the box and union rows shape."""
+        n, alpha, beta, gamma = self.n, self.alpha, self.beta, self.gamma
+        return (
+            Fraction(1),
+            alpha + comb(n - 1, 2) * beta,
+            2 * alpha + (n - 2) * beta + comb(n - 2, 2) * gamma,
+            3 * alpha - 3 * beta,
+            4 * alpha - 3 * gamma,
+        )
+
     @cached_property
     def coefficients(self) -> dict[int, Fraction]:
         """c_k, the coefficient a k-element set collects, for k = 0..n."""
-        n, alpha, beta, gamma = self.n, self.alpha, self.beta, self.gamma
-        coeff = {
-            0: Fraction(1),
-            1: alpha + comb(n - 1, 2) * beta,
-            2: 2 * alpha + (n - 2) * beta + comb(n - 2, 2) * gamma,
-            3: 3 * alpha - 3 * beta,
-            4: 4 * alpha - 3 * gamma,
-        }
-        for k in range(5, n + 1):
-            coeff[k] = k * alpha
+        coeff = dict(enumerate(self._low_coefficients()))
+        for k in range(5, self.n + 1):
+            coeff[k] = k * self.alpha
         return coeff
 
     def to_json(self) -> dict:
@@ -85,8 +105,7 @@ class DualCertificate:
         }
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(NamedTuple):
     name: str
     passed: bool
     slack: Fraction  # exact margin; for equality checks this is value - target
@@ -147,22 +166,22 @@ def verify_certificate(cert: DualCertificate) -> CertificateReport:
     """Check every coefficient identity and sign condition, exactly.
 
     Failures are report entries, never exceptions: gamma < 0 (any n < 7)
-    is flagged, with the exact rational slack recorded per check.
+    is flagged, with the exact rational slack recorded per check.  The
+    coefficient table `cert.coefficients` is not built: c_0..c_4 are
+    computed directly, and each c_k >= 1 for k >= 5 is decided as
+    k*p >= q, with slack (k*p - q)/q.
     """
     one = Fraction(1)
-    checks: list[CertificateCheck] = []
-    notes: list[str] = []
-    for k in range(0, 4):
-        ck = cert.coefficients[k]
-        checks.append(CertificateCheck(f"c_{k} == 1", ck == one, ck - one))
-    c4 = cert.coefficients[4]
+    *unit, c4 = cert._low_coefficients()
+    checks = [CertificateCheck(f"c_{k} == 1", ck == one, ck - one) for k, ck in enumerate(unit)]
     checks.append(CertificateCheck("c_4 >= 1", c4 >= one, c4 - one))
-    for k in range(5, cert.n + 1):
-        ck = cert.coefficients[k]
-        checks.append(CertificateCheck(f"c_{k} >= 1", ck >= one, ck - one))
+    p, q = cert.alpha.numerator, cert.alpha.denominator
+    checks += [CertificateCheck(f"c_{k} >= 1", k * p >= q, Fraction(k * p - q, q))
+               for k in range(5, cert.n + 1)]
     checks.append(CertificateCheck("alpha >= 0", cert.alpha >= 0, cert.alpha))
     checks.append(CertificateCheck("beta >= 0", cert.beta >= 0, cert.beta))
     checks.append(CertificateCheck("gamma >= 0", cert.gamma >= 0, cert.gamma))
+    notes: list[str] = []
     if cert.gamma < 0:
         notes.append(
             f"gamma = {cert.gamma} < 0 at n = {cert.n}: the multipliers are only "

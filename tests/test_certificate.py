@@ -50,8 +50,69 @@ def test_zero_multipliers_fail_the_coefficient_checks():
 
 def test_rejects_small_n():
     for n in (2, 3, 4):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="certificate needs n >= 5"):
             make_certificate(n)
+
+
+def _reference_checks(cert):
+    """The checks as read off the full coefficient table: compare each c_k
+    with 1 and subtract 1, then the three sign conditions."""
+    one = F(1)
+    coeff = cert.coefficients
+    checks = [(f"c_{k} == 1", coeff[k] == one, coeff[k] - one) for k in range(4)]
+    checks += [(f"c_{k} >= 1", coeff[k] >= one, coeff[k] - one) for k in range(4, cert.n + 1)]
+    return checks + [(f"{name} >= 0", value >= 0, value) for name, value in
+                     (("alpha", cert.alpha), ("beta", cert.beta), ("gamma", cert.gamma))]
+
+
+def _assert_matches_reference(cert):
+    report = verify_certificate(cert)
+    # the integer path reads alpha's numerator and denominator, not the table
+    assert "coefficients" not in vars(cert)
+    reference = _reference_checks(DualCertificate(cert.n, cert.alpha, cert.beta, cert.gamma))
+    assert [c.name for c in report.checks] == [name for name, _, _ in reference]
+    assert [c.passed for c in report.checks] == [passed for _, passed, _ in reference]
+    assert [c.slack for c in report.checks] == [slack for _, _, slack in reference]
+    assert all(type(c.slack) in (F, int) for c in report.checks)
+    return report
+
+
+def test_verify_certificate_matches_the_coefficient_table_on_5_to_200():
+    for n in range(5, 201):
+        _assert_matches_reference(make_certificate(n))
+
+
+@pytest.mark.parametrize("multipliers", [
+    (7, F(0), F(0), F(0)),
+    (9, F(-1, 3), F(1, 24), F(1, 240)),
+    (8, 1, 0, 2),
+    (6, -2, 1, 0),
+])
+def test_verify_certificate_matches_the_table_on_hand_made_certificates(multipliers):
+    _assert_matches_reference(DualCertificate(*multipliers))
+
+
+def test_c5_of_exactly_one_passes():
+    # alpha = 1/5 gives c_5 = 5*alpha = 1: the case that tells >= from >
+    report = _assert_matches_reference(DualCertificate(7, F(1, 5), F(1, 24), F(1, 240)))
+    check = next(c for c in report.checks if c.name == "c_5 >= 1")
+    assert check.passed and check.slack == 0
+    assert {c.name: c.slack for c in report.checks}["c_7 >= 1"] == F(2, 5)
+
+
+@pytest.mark.parametrize("args,refusal", [
+    ((7, 0.375, 0.0625, 0.2), "alpha must be an int or a Fraction, got 0.375"),
+    ((7, F(3, 8), F(1, 24), 0.2), "gamma must be an int or a Fraction, got 0.2"),
+    ((7, F(3, 8), True, F(1, 240)), "beta must be an int or a Fraction, got True"),
+    ((7.0, F(3, 8), F(1, 24), F(1, 240)), "n must be an int >= 5, got 7.0"),
+    ((True, F(3, 8), F(1, 24), F(1, 240)), "n must be an int >= 5, got True"),
+    ((3, F(3, 8), F(1, 24), F(1, 240)), "n must be an int >= 5, got 3"),
+])
+def test_dual_certificate_refuses_what_it_cannot_check_exactly(args, refusal):
+    # a float once came back as float slacks (c_4 slack -0.10000000000000009),
+    # n = 7.0 failed inside comb, and n = 3 reported a check on c_4
+    with pytest.raises(ValueError, match=refusal):
+        DualCertificate(*args)
 
 
 def test_gamma_negative_below_7_flagged_not_raised():

@@ -143,7 +143,9 @@ def test_lp_refuses_an_empty_ground_set(capsys):
 LP_LAYER_DIGESTS = {
     "lp --n 4 --a 4": "7bd51003fff0d894",
     "lp --n 5 --a 5": "79b908c1718823e3",
+    "certify --n 5": "2c749fb5d4de38fa",
     "certify --n 7 --a 7": "9874899050dcf950",
+    "certify --n 200": "47946c5aed7e8636",
     "table --what fr": "dc55e254b17ae4f1",
 }
 
@@ -202,8 +204,10 @@ CLI_TEXT_DIGESTS = {
     "lp --n 4 --a 4 --max-nodes 3 --format json --stable":
         ("5cbc3745b2a773d0", "e3b0c44298fc1c14", 2),
     "bound --a 9": ("80811f3e18744df3", "e3b0c44298fc1c14", 0),
+    "certify --n 5": ("a31b1fd9175ead42", "e3b0c44298fc1c14", 0),
     "certify --n 6": ("2762658da83bfe93", "e3b0c44298fc1c14", 0),
     "certify --n 7 --a 7": ("7c4ca2294f6a65a2", "e3b0c44298fc1c14", 0),
+    "certify --n 200": ("6ff1202818093695", "e3b0c44298fc1c14", 0),
     "verify --claim thm-f-2n-minus-n --n 5 --max-nodes 10":
         ("04fb532eddaa00a5", "e3b0c44298fc1c14", 2),
     "table --what f-aa --from 5 --to 5 --max-nodes 10":
