@@ -39,11 +39,13 @@ Three engines:
                the nodes skipped.  It also cuts isomorphs at the first mask
                of each popcount level by sibling orbits (McKay, J.
                Algorithms 1998).  A node's group is the stabiliser of its
-               new members in its parent's: at n <= 7 every group is the
-               list of its elements, from S_n at the root, and one pass
-               over the parent's list gives both a child's orbit and its
-               group; past n = 7 each group is searched for as a chain of
-               transversals, cut short past a cap.
+               new members in its parent's, from S_n at the root, and is
+               never searched for: at n <= 7 every group is the list of its
+               elements, and one pass over the parent's list gives both a
+               child's orbit and its group; past n = 7 a group is
+               (generators, order), and one walk over the child's orbit
+               gives the orbit and, by Schreier's lemma, the generators of
+               its group (Sims 1970).
   complement   for g when few sets are missing (2^n - m <= n): choose the
                missing masks instead of the present ones, depth-first in
                ascending (popcount, value) order.  A choice is admissible
@@ -130,12 +132,15 @@ def _f_table(n: int) -> list[tuple[int, tuple[int, ...]]]:
 # the depth-first kernel
 
 _BB_MAX_N = 11  # a chosen ceiling: 2^n include tables of 2^n bits, 512 KiB at n = 11
-# The partial relabellings _automorphisms may try for one node, and the
-# images _orbit may list for one child.  [7] has this many partial
-# relabellings.  While n! is at most this cap (n <= 7) the kernel lists
-# every group element and calls neither, so the cap binds only at n >= 8,
-# where groups and orbits may be cut short.
-_RELABEL_CAP = sum(math.perm(7, d) for d in range(1, 8))  # 13,699
+# At n <= 7, n! <= 5,040: the kernel lists every group element (_symmetric_group)
+_LISTED_MAX_N = 7
+# Past n = 7, the orbit points one walk may visit before it stops and hands
+# down the trivial group; it bounds a node's time and memory at n = 10 and 11
+_ORBIT_CAP = 13_699
+_IDENT = bytes(range(256))  # the identity permutation of points, as a translate table
+# A group past n = 7: (generators, order), each generator a permutation of
+# points with its mask-image table
+_Group = tuple[list[tuple[bytes, list[int]]], int]
 
 
 def _branch_order(n: int) -> list[int]:
@@ -177,97 +182,81 @@ def _stabiliser(group: Sequence[bytes], members: list[int],
     return list(compress(group, map(key.__eq__, images)))
 
 
-def _automorphisms(n: int, masks: list[int],
-                   elems: list[tuple[int, ...]]) -> list[list[list[int]]]:
-    """Aut(F) of the family `masks` on [n] as a chain of transversals (the
-    identity alone past _RELABEL_CAP partial relabellings tried); elems[mask]
-    lists the elements of mask.  Automorphisms keep the classes of _refine.
-    With the elements placed class by class, level j holds, per other image
-    of the j-th placed element e, one automorphism fixing every element
-    placed before e, as a table bit[y] = 1 << p(y); each automorphism is
-    u_0 u_1 ..., one u_j per level or the identity, in exactly one way.
-    Images are placed depth-first; a partial relabelling is dropped once a
-    member with all its elements placed leaves the family."""
-    members = [elems[mask] for mask in masks if mask]
-    colour, _ = _refine(members, [0] * n, 1)
-    place = sorted(range(n), key=colour.__getitem__)
-    last = [max(map(place.index, es)) for es in members]
-    due = [[es for es, j in zip(members, last) if j == d] for d in range(n)]
-    options = [[y for y in place if colour[y] == colour[e]] for e in place]
-    family = set(masks)
-    levels = []
-    tries = fixed = 0  # fixed: the elements placed before e
-    for j, e in enumerate(place):
-        level: list[list[int]] = []
-        for x in options[j]:
-            if x == e or fixed >> x & 1 or any(u[e] >> x & 1 for u in level):
-                continue
-            bit = [1 << y for y in range(n)]
-            # frames (d, image of place[d], images still free)
-            stack = [(j, 1 << x, (1 << n) - 1 - fixed - (1 << x))]
-            while stack:
-                d, image, free = stack.pop()
-                tries += 1
-                if tries > _RELABEL_CAP:
-                    return []
-                bit[place[d]] = image
-                if not all(sum(map(bit.__getitem__, es)) in family for es in due[d]):
-                    continue
-                if d + 1 == n:
-                    level.append(bit)
+def _generators(n: int, perms: list[bytes]) -> list[tuple[bytes, list[int]]]:
+    """Each permutation of points in `perms` with its mask-image table."""
+    images = [[0] for _ in perms]
+    for e in range(n):
+        for x, image in zip(perms, images):
+            image += [m | 1 << x[e] for m in image]
+    return list(zip(perms, images))
+
+
+def _symmetric_generators(n: int) -> _Group:
+    """S_n = <(0 1), (0 1 ... n-1)> as (generators, order)."""
+    cycles = [_IDENT[1:k] + _IDENT[:1] + _IDENT[k:] for k in (min(n, 2), n)]
+    return _generators(n, cycles), math.factorial(n)
+
+
+def _orbit_stabiliser(n: int, group: _Group, members: list[int], met: set[int],
+                      want_group: bool) -> _Group | None:
+    """One breadth-first walk over the orbit of the set S = `members` under
+    `group`, held as (generators, order): None if S's membership table (an
+    int) is in `met` already; else adds the table of every image to `met`
+    and returns the stabiliser of S as (generators, order), with no
+    generators unless `want_group`.  The walk stops after _ORBIT_CAP orbit
+    points, and if images are left it returns the trivial group.  A
+    generator is a permutation of points, a 256-byte translate table that
+    is the identity past n (u.translate(x) is x after u), with its
+    mask-image table.
+
+    By orbit-stabiliser the stabiliser has order |group| / |orbit|.  When
+    `want_group`, the Schreier generators u_(x(T))^-1 x u_T of the walk's
+    non-tree edges, u_T the tree's element taking S to T, generate it
+    (Schreier's lemma).  Each is sifted into a Sims table on the base 0,
+    1, ..., n-1 (table[k][p] fixes 0..k-1 and takes k to p; the identity
+    is implicit): a residue left at level k becomes an entry, and its
+    products y z with the entries, y at a level no lower than z, are
+    sifted in turn (Sims 1970).  Once the level sizes multiply to the
+    order, the table's products are the whole stabiliser, and the
+    Schreier generators that left a residue generate it."""
+    gens, order = group
+    key = sum([1 << m for m in members])
+    if key in met:
+        return None
+    index, points, trans, edges = {key: 0}, [members], [_IDENT], []
+    for t, here in zip(range(_ORBIT_CAP), points):
+        for x, image in gens:
+            moved = list(map(image.__getitem__, here))
+            j = index.setdefault(sum([1 << m for m in moved]), len(points))
+            if j < len(points):
+                edges.append((t, x, j))
+            else:
+                points.append(moved)
+                trans.append(trans[t].translate(x))  # x after u_T
+    met.update(index)
+    order = 1 if len(points) > _ORBIT_CAP else order // len(points)
+    kept, table, size = [], [{} for _ in range(n)], 1
+    for t, x, j in edges if want_group else ():
+        if size == order:
+            break
+        grown = size
+        stack = [s := trans[t].translate(x).translate(bytes.maketrans(trans[j], _IDENT))]
+        while stack and size < order:
+            h = stack.pop()
+            for k, level in enumerate(table):
+                if h[k] in level:
+                    h = h.translate(bytes.maketrans(level[h[k]], _IDENT))
+                elif h[k] != k:
                     break
-                stack.extend((d + 1, 1 << y, free ^ 1 << y)
-                             for y in reversed(options[d + 1]) if free >> y & 1)
-        levels.append(level)
-        fixed |= 1 << e
-    return levels
-
-
-def _orbit(masks: list[int], group: list[list[list[int]]],
-           elems: list[tuple[int, ...]]) -> dict[int, list[int]]:
-    """The images of the masks under `group`, by membership table: each
-    level, the last first, moves every image met so far (to _RELABEL_CAP)."""
-    orbit = {sum([1 << m for m in masks]): masks}
-    for level in reversed(group):
-        for image in list(orbit.values()):
-            for bit in level:
-                moved = [sum(map(bit.__getitem__, elems[m])) for m in image]
-                orbit.setdefault(sum([1 << m for m in moved]), moved)
-                if len(orbit) > _RELABEL_CAP:
-                    return orbit
-    return orbit
-
-
-def _refine(members: list[tuple[int, ...]], colour: list[int],
-            count: int) -> tuple[list[int], int]:
-    """Colour refinement: split the element classes by the multiset of
-    colour profiles of the members containing each element, until no class
-    splits.  `colour` holds ranks 0..count-1 for the elements of [len(colour)];
-    so does the result, returned with its class count, and relabelling the
-    input relabels the output the same way.
-
-    A member's colour profile, the sum of 1 << 4*colour[e] over its elements,
-    is its multiset of colours while n < 16: no 4-bit digit carries."""
-    n = len(colour)
-    while True:
-        weight = [1 << (c << 2) for c in colour]
-        signature: list[list[int]] = [[] for _ in colour]
-        for es in members:
-            profile = sum(map(weight.__getitem__, es))
-            for e in es:
-                signature[e].append(profile)
-        for c, s in zip(colour, signature):
-            s.sort()
-            s.append(c)  # keep the old colour: the new classes refine the old
-        keys = [tuple(s) for s in signature]
-        ranked = sorted(set(keys))
-        if len(ranked) == count:
-            return colour, count
-        rank = {k: r for r, k in enumerate(ranked)}
-        colour = [rank[k] for k in keys]
-        count = len(ranked)
-        if count == n:
-            return colour, count
+            else:
+                continue
+            level[h[k]] = h
+            size = math.prod(len(level) + 1 for level in table)
+            stack += [z.translate(h) for level in table[:k + 1] for z in level.values()]
+            stack += [h.translate(y) for level in table[k:] for y in level.values()]
+        if size > grown:
+            kept.append(s)
+    return _generators(n, kept), order
 
 
 def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
@@ -308,28 +297,32 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
     Relabellings keep popcounts, so if the boundary-(k+1) nodes kept are
     pairwise non-isomorphic, two boundary-k nodes are isomorphic only if
     they share P and their S lie in one orbit of Aut(F_P); and Aut(F_P | S)
-    is the stabiliser of S in Aut(F_P).  Two ways to hold the groups:
-      n! <= _RELABEL_CAP (n <= 7): a group is the list of its elements as
+    is the stabiliser of S in Aut(F_P).  Two ways to hold the groups, and
+    neither searches for one:
+      n <= _LISTED_MAX_N = 7: a group is the list of its elements as
         mask-image tables, S_n at the root (_symmetric_group).  A child
         that survives visit is cut if S's table is in P's set; else one
         pass over P's list (_stabiliser) adds the table of every g(S) to
         the set and keeps the elements that fix S, the child's group if
-        boundaries lie below.  No group is searched for.
-      past the cap: the root and each kept boundary node with boundaries
-        below search for their group as a chain of transversals
-        (_automorphisms).  A child is cut if its table inc_bits is in P's
-        set, else it adds F_P | g(S) for each g in Aut(F_P) (_orbit).
-        Groups and orbits may be cut short at the cap, and fewer
-        isomorphs are cut.
-    At n <= 7 every group and orbit is whole, so a boundary keeps one
-    family per S_n-class reaching it.  A cut drops an image of a family
-    kept.  At a boundary order[i:] is every mask of popcount k or less, so
-    room too is kept by relabelling: visit's return value depends on the
-    node only up to a relabelling, and its incumbent only improves.
+        boundaries lie below.
+      past n = 7: a group is (generators, order), S_n = <(0 1), (0 1 ...
+        n-1)> of order n! at the root (_symmetric_generators).  A child is
+        cut if S's membership table is in P's set; else one walk over S's
+        orbit (_orbit_stabiliser) adds every image's table to the set and,
+        if boundaries lie below, sifts the walk's Schreier generators into
+        a Sims table until its products number |Aut(F_P)| / |orbit|, the
+        order of the child's group.  A walk past _ORBIT_CAP points hands
+        down the trivial group, and fewer isomorphs are cut below it.
+    Unless a walk passes the cap, every group and orbit is whole, so a
+    boundary keeps one family per S_n-class reaching it.  A cut drops an
+    image of a family kept.  At a boundary order[i:] is every mask of
+    popcount k or less, so room too is kept by relabelling: visit's return
+    value depends on the node only up to a relabelling, and its incumbent
+    only improves.
 
     The nodes wait on an explicit stack of exclude frames (i, top, P,
-    allowed, cap), P the nearest boundary ancestor's (group, table, member
-    count, set), freed with the last frame of its subtree; a path of
+    allowed, cap), P the nearest boundary ancestor's (group, member count,
+    set), freed with the last frame of its subtree; a path of
     2^n + 1 nodes needs no raised recursion limit.  Including order[i-1]
     pushes the frame of node i and goes on with the include child in
     place; popping the frame undoes the include (`top` is in the frame, as
@@ -358,11 +351,11 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
     included: list[int] = []
     inc_bits = used = 0
     stack: list[tuple] = []
-    # every group a list of its elements, or a chain of transversals past the cap
-    listed = math.factorial(n) <= _RELABEL_CAP
+    # every group a list of its elements, or past n = 7 (generators, order)
+    listed = n <= _LISTED_MAX_N
     # `allowed` drops the masks with an element at the cap `narrowed`; at the root no cap yet
-    root = _symmetric_group(n) if listed else _automorphisms(n, [], elems)
-    i, top, parent = 0, 0, (root, 0, 0, set())
+    root = _symmetric_group(n) if listed else _symmetric_generators(n)
+    i, top, parent = 0, 0, (root, 0, set())
     allowed, narrowed = full, None
     while meter.tick():
         while True:  # node i, counted; its include child continues in place
@@ -378,19 +371,14 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
                 if (allowed & suffix[i]).bit_count() < room:
                     continue  # the cap fell and room with it: visit node i again
             if boundary[i]:
-                group, base, start, met = parent
-                if not listed:
-                    if inc_bits in met:
-                        break
-                    met.update([base | t for t in _orbit(included[start:], group, elems)])
-                    if levels[i] > 2:
-                        group = _automorphisms(n, included, elems)
-                elif start < len(included):  # an empty S is its own orbit, fixed by all
-                    group = _stabiliser(group, included[start:], met)
+                group, start, met = parent
+                if start < len(included):  # an empty S is its own orbit, fixed by all
+                    group = (_stabiliser(group, included[start:], met) if listed else
+                             _orbit_stabiliser(n, group, included[start:], met, levels[i] > 2))
                     if group is None:
                         break
                 if levels[i] > 2:
-                    parent = (group, inc_bits, len(included), set())
+                    parent = (group, len(included), set())
             # the exclude-only run from node i: j stops at the first mask
             # that can be included or at the next boundary
             j = i

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from frankl_lab import CLAIMS, family_from_json, is_union_closed, max_frequency
+from frankl_lab import CLAIMS, bar_f, family_from_json, is_union_closed, max_frequency
 from frankl_lab.cli import main
 
 
@@ -252,6 +252,17 @@ def test_certify_with_dual(capsys):
     code, out, _ = run_cli(capsys, "certify", "--n", "7", "--a", "7")
     assert code == 0
     assert "matches closed form: True" in out
+
+
+def test_certify_reports_a_dual_bound_off_the_closed_form(capsys, monkeypatch):
+    # the dual bound is checked against bar_f; a closed form one off must
+    # be reported as a mismatch and exit with the violation code
+    monkeypatch.setattr("frankl_lab.cli.bar_f", lambda n, a: bar_f(n, a) + 1)
+    code, out, _ = run_cli(capsys, "certify", "--n", "7", "--a", "7", "--format", "json")
+    assert code == 3
+    dual = json.loads(out)["dual_bound"]
+    assert dual["matches_bar_f"] is False
+    assert dual["value"] == str(bar_f(7, 7))
 
 
 def test_certify_below_7_flags_gamma_but_succeeds(capsys):

@@ -200,11 +200,18 @@ def test_f_at_n7(a, expected, nodes, masks):
 
 
 @pytest.mark.stretch
-def test_f85_past_the_relabelling_cap():
-    # at n = 8 _RELABEL_CAP binds, and the include tables hold 256 bits
-    result = compute_f(8, 5)
-    assert (result.value, result.nodes, result.proven_optimal) == (9, 280_444, True)
-    assert result.witness.masks == _F_WITNESS_9
+@pytest.mark.parametrize("compute,k,value,nodes,masks", [
+    (compute_f, 5, 9, 280_444, _F_WITNESS_9),
+    (compute_f, 6, 10, 728_829, (0, 1, 2, 3, 4, 5, 6, 7, 11, 15)),
+    (compute_g, 12, 7, 693_348, (0, 63, 95, 96, 127, 159, 160, 191, 192, 223, 224, 255)),
+])
+def test_n8_on_the_generator_path(compute, k, value, nodes, masks):
+    # at n = 8 each group follows from its parent's as (generators, order),
+    # and the include tables hold 256 bits; the groups are whole, so the
+    # node counts pin whole isomorph cuts
+    result = compute(8, k)
+    assert (result.value, result.nodes, result.proven_optimal) == (value, nodes, True)
+    assert result.witness.masks == masks
 
 
 def test_budget_sweep_is_pinned():
@@ -660,23 +667,26 @@ def _brute_automorphisms(n, masks):
     return {p for p in permutations(range(n)) if set(_relabel(n, masks, p)) == family}
 
 
-def _elems(n):
-    return [tuple(e for e in range(n) if mask >> e & 1) for mask in range(1 << n)]
+def _from_root(n, masks, met=None):
+    """The stabiliser of `masks` in S_n by the generator path, as
+    (generators, order)."""
+    return search._orbit_stabiliser(n, search._symmetric_generators(n), masks,
+                                    set() if met is None else met, True)
 
 
-def _automorphisms_on(n):
-    elems = _elems(n)
-    return lambda masks: search._automorphisms(n, masks, elems)
-
-
-def _expand(n, levels):
-    """Every product u_0 u_1 ... of one table per level or the identity, as
-    permutation tuples, repeats kept."""
-    identity = tuple(range(n))
-    group = [identity]
-    for level in reversed(levels):
-        us = [identity] + [tuple(b.bit_length() - 1 for b in bit) for bit in level]
-        group = [tuple(u[x] for x in g) for u in us for g in group]
+def _generated(n, gens):
+    """The group the generators `gens`, (permutation table, mask-image
+    table) pairs, generate on [n], by closure, as permutation tuples."""
+    gens = [tuple(g[:n]) for g, _ in gens]
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            q = tuple(g[x] for x in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
     return group
 
 
@@ -710,45 +720,49 @@ def _random_families_n6(rng):
 @pytest.mark.parametrize("n,make", [(5, _random_families_n5), (6, _random_families_n6),
                                     (7, _regular_families_n7)])
 def test_automorphisms_are_the_brute_force_group(n, make):
-    automorphisms = _automorphisms_on(n)
+    # from S_n, the walk's order is |Aut(F)| and its generators generate Aut(F)
     rng = random.Random(n)
     for masks in make(rng):
-        levels = automorphisms(masks)
-        group = _expand(n, levels)
-        # each automorphism is one product of the levels, in exactly one way
-        assert len(set(group)) == len(group)
+        gens, order = _from_root(n, masks)
         brute = _brute_automorphisms(n, masks)
-        assert set(group) == brute
+        assert order == len(brute)
+        assert _generated(n, gens) == brute
         relabelled = _relabel(n, masks, rng.sample(range(n), n))
-        assert len(_expand(n, automorphisms(relabelled))) == len(group)
-        # the orbit of a few masks, by membership table
-        some = rng.sample(range(1 << n), 3)
-        assert set(search._orbit(some, levels, _elems(n))) == {
-            sum(1 << m for m in _relabel(n, some, p)) for p in brute}
+        assert _from_root(n, relabelled)[1] == order
+        # the orbit of a few masks under Aut(F), by membership table
+        some, met = rng.sample(range(1 << n), 3), set()
+        assert search._orbit_stabiliser(n, (gens, order), some, met, False) is not None
+        assert met == {sum(1 << m for m in _relabel(n, some, p)) for p in brute}
 
 
-def test_automorphisms_at_n8_need_no_class_product_cap():
-    # refinement leaves all eight elements of the power set and of the
-    # 8-cycle in one class, 8! relabellings, yet the search finds each group
+def test_automorphisms_at_n8_need_no_class_product_cap(monkeypatch):
+    # all eight elements of the power set and of the 8-cycle look alike, 8!
+    # relabellings, yet the groups follow from S_8 without a search.  The
+    # path has 8!/2 = 20,160 images, more than _ORBIT_CAP, which bounds one
+    # walk's time and not its groups, so the cap is lifted here
     n = 8
-    automorphisms = _automorphisms_on(n)
+    monkeypatch.setattr(search, "_ORBIT_CAP", math.factorial(n))
     rng = random.Random(n)
-    assert len(set(_expand(n, automorphisms(list(range(1 << n)))))) == math.factorial(n)
+    assert _from_root(n, list(range(1 << n)))[1] == math.factorial(n)
     cycle = _cycle_edges(tuple(range(n)))
-    # the path 0-1-...-7 refines to the classes {0,7}, {1,6}, {2,5}, {3,4}
     path = [(1 << e) | (1 << (e + 1)) for e in range(n - 1)]
     for masks, size in ((cycle, 2 * n), (path, 2)):
-        group = _expand(n, automorphisms(masks))
-        assert len(group) == len(set(group)) == size
-        assert set(group) == _brute_automorphisms(n, masks)
-        assert len(_expand(n, automorphisms(_relabel(n, masks, rng.sample(range(n), n))))) == size
+        gens, order = _from_root(n, masks)
+        assert order == size
+        assert _generated(n, gens) == _brute_automorphisms(n, masks)
+        assert _from_root(n, _relabel(n, masks, rng.sample(range(n), n)))[1] == size
 
 
 def test_a_node_past_the_relabelling_cap_cuts_fewer_isomorphs(monkeypatch):
-    # the identity alone, or part of an orbit: more nodes, but a cut
-    # isomorph never held a better family, so value and witness stay
-    monkeypatch.setattr(search, "_RELABEL_CAP", 20)
-    assert _automorphisms_on(8)(_cycle_edges(tuple(range(8)))) == []
+    # the trivial group past the cap on orbit points: more nodes, but a cut
+    # isomorph never held a better family, so value and witness stay.  The
+    # largest orbit f(5,5) walks has 12 images, so the cap is 5
+    monkeypatch.setattr(search, "_LISTED_MAX_N", 0)
+    monkeypatch.setattr(search, "_ORBIT_CAP", 5)
+    # the 8-cycle has 8!/16 = 2,520 images under S_8
+    met = set()
+    assert _from_root(8, _cycle_edges(tuple(range(8))), met) == ([], 1)
+    assert 5 < len(met) < 2_520
     for compute, n, k, value, nodes, masks in (
             (compute_f, 5, 5, 9, 1_227, _F_WITNESS_9),
             (compute_g, 5, 20, 12, 5_569, (0, 3, 7, 11, 12, 13, 14, 15, 16, 19, 21, 22, 23, 25,
@@ -840,10 +854,11 @@ def test_stabiliser_of_regular_families_is_the_brute_force_group():
 @pytest.mark.parametrize("compute,n,k", [(compute_f, 5, 5), (compute_f, 6, 6),
                                          (compute_g, 5, 15), (compute_g, 5, 20)])
 def test_the_listed_and_chained_isomorph_engines_agree(monkeypatch, compute, n, k):
-    # two engines for one cut: groups listed element by element while n! is
-    # within _RELABEL_CAP, and past it a chain of transversals that
-    # _automorphisms searches for.  Forced past the cap at n <= 6, the chain
-    # is still whole, so the nodes, values and witnesses must agree
+    # two engines for one cut: groups listed element by element at n <= 7,
+    # and past it (generators, order), each child's group sifted from the
+    # Schreier generators of its orbit walk into a Sims table.  Forced onto
+    # the generator path at n <= 6, the groups are still whole, so the
+    # nodes, values and witnesses must agree
     calls = []
 
     def counted(name, engine):
@@ -852,15 +867,14 @@ def test_the_listed_and_chained_isomorph_engines_agree(monkeypatch, compute, n, 
             return engine(*args)
         return run
 
-    for name in ("_stabiliser", "_automorphisms", "_orbit", "_refine"):
+    for name in ("_stabiliser", "_orbit_stabiliser"):
         monkeypatch.setattr(search, name, counted(name, getattr(search, name)))
     listed = compute(n, k)
     assert set(calls) == {"_stabiliser"}
     calls.clear()
-    monkeypatch.setattr(search, "math",
-                        SimpleNamespace(factorial=lambda n: search._RELABEL_CAP + 1))
+    monkeypatch.setattr(search, "_LISTED_MAX_N", 0)
     chained = compute(n, k)
-    assert set(calls) == {"_automorphisms", "_orbit", "_refine"}
+    assert set(calls) == {"_orbit_stabiliser"}
     assert (chained.value, chained.nodes, chained.proven_optimal, chained.witness.masks) == (
         listed.value, listed.nodes, listed.proven_optimal, listed.witness.masks)
 

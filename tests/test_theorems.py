@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -179,6 +180,22 @@ def test_monotonicity_a1_has_no_carve_out():
     assert report.verified
     assert not any("saturates" in note for note in report.notes)
     assert set(report.scope["values"].values()) == {2}
+
+
+def test_monotonicity_reports_a_chain_drop(monkeypatch):
+    # f(2,4) one below f(1,4) = 2, before the plateau from n = 3: the chain
+    # f(1,4) <= f(2,4) breaks and nothing else does
+    real = theorems.compute_f
+
+    def dropped(n, a, budget):
+        result = real(n, a, budget)
+        return replace(result, value=1) if (n, a) == (2, 4) else result
+
+    monkeypatch.setattr(theorems, "compute_f", dropped)
+    report = verify_monotonicity(4, 5)
+    assert report.status == "violated"
+    assert report.violations == [{"kind": "chain", "n": 1, "f_n": 2, "f_n1": 1}]
+    assert report.scope["values"] == {1: 2, 2: 1, 3: 8, 4: 8, 5: 8}
 
 
 def test_monotonicity_out_of_budget_is_skipped():
