@@ -9,24 +9,20 @@ Run limits live in `budget`; family predicates and constructors (closure
 tests, frequency counts, the n <= 4 enumeration, seeded random families)
 live in `families`.
 
-Three engines:
+Two engines, and a seed table for the first:
 
-  exhaustive   f only, n <= 4: every union-closed family, read from
-               `families.enumerate_union_closed`.  One table per n is
-               cached and answers every cap a, with lexicographically
-               smallest witnesses among the optima.
-  depth-first  one branch-and-bound kernel, _depth_first, for f at n >= 5
-               and for g at every n below the complement range (2^n - m
-               > n), over masks ordered by descending popcount, so any
-               union of included sets lies strictly earlier in the order
-               and closure is enforced incrementally.  Each node includes
-               its mask (if the family stays closed and no element
-               frequency passes a cap), then excludes it.  The include test
-               is one bit test, against a table of the masks that keep the
-               family closed and touch no element at the cap; `room`, the
-               masks of that table still ahead in the order, bounds what
-               the family can gain.  A visit function carries each
-               caller's incumbent and bound:
+  depth-first  one branch-and-bound kernel, _depth_first, at every n, for
+               f below the power set (a < 2^(n-1)) and for g below the
+               complement range (2^n - m > n), over masks ordered by
+               descending popcount, so any union of included sets lies
+               strictly earlier in the order and closure is enforced
+               incrementally.  Each node includes its mask (if the family
+               stays closed and no element frequency passes a cap), then
+               excludes it.  The include test is one bit test, against a
+               table of the masks that keep the family closed and touch no
+               element at the cap; `room`, the masks of that table still
+               ahead in the order, bounds what the family can gain.  A
+               visit function carries each caller's incumbent and bound:
                  f  cap a; prunes when the incumbent size is not beaten by
                     the size plus the least of room and the remaining
                     frequency slots;
@@ -46,6 +42,11 @@ Three engines:
                (generators, order), and one walk over the child's orbit
                gives the orbit and, by Schreier's lemma, the generators of
                its group (Sims 1970).
+  seed table   f only, n <= 4: a cached table per n, read from every
+               family of `families.enumerate_union_closed`, of the largest
+               size and its lexicographically smallest witness at each cap
+               a.  The table of [min(n, 4)] seeds the f search, and at
+               n <= 4 it is optimal, so the search only proves it.
   complement   for g when few sets are missing (2^n - m <= n): choose the
                missing masks instead of the present ones, depth-first in
                ascending (popcount, value) order.  A choice is admissible
@@ -56,13 +57,15 @@ Three engines:
                present proper subsets.  The objective is 2^(n-1) minus the
                least-covered element's cover count.
 
-Witness policy: the exhaustive f table and the complement search return
-the lexicographically smallest optimal family; the kernel's f and g
-searches return the first optimum met in its fixed order (the size-based
-prune discards later ties by design, and an isomorph that is cut cannot
-hold a strictly better family), so g below the complement range takes
-the kernel's first optimum at every n.  All are deterministic run to
-run, and compute_f and compute_g revalidate every witness they return.
+Witness policy: the complement search returns the lexicographically
+smallest optimal family; the kernel's f and g searches return the first
+optimum met in its fixed order (the size-based prune discards later ties
+by design, and an isomorph that is cut cannot hold a strictly better
+family), and the f search gives up its seed only for a larger family.
+So f at n <= 4 keeps the seed table's lexicographically smallest witness,
+and g below the complement range takes the kernel's first optimum at
+every n.  All are deterministic run to run, and compute_f and compute_g
+revalidate every witness they return.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# the exhaustive f table, n <= 4
+# the seed table for f, n <= 4
 
 @lru_cache(maxsize=None)
 def _f_table(n: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -428,23 +431,20 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
 
 
 # ---------------------------------------------------------------------------
-# branch and bound for f, n >= 5
-
+# branch and bound for f
 
 def _bb_f(n: int, a: int, budget: SearchBudget) -> SearchResult:
-    length = 1 << n
-    # seed from the exhaustive n = 4 table: a family on [4] is a family on
-    # [n] with unchanged frequencies
-    table = _f_table(EXHAUSTIVE_MAX_N)
+    # seed from the table of [min(n, 4)]: a family on a smaller ground set
+    # is a family on [n] with unchanged frequencies
+    table = _f_table(min(n, EXHAUSTIVE_MAX_N))
     best_size, best_masks = table[min(a, len(table) - 1)]
 
     def visit(i, size, used, top, room, included):
         nonlocal best_size, best_masks
         if size > best_size:
             best_size, best_masks = size, tuple(sorted(included))
-        if i == length:
-            return None
-        # room counts the empty set, which is always admissible and costs no slots
+        # room counts the empty set, which is always admissible and costs no
+        # slots; a leaf has no room, so the bound cuts it
         if size + 1 + min(room - 1, n * a - used) <= best_size:
             return None
         return a
@@ -471,10 +471,6 @@ def compute_f(n: int, a: int, budget: SearchBudget = NO_BUDGET) -> SearchResult:
     if a >= 1 << (n - 1):
         # the full power set is feasible and no family can be larger
         result = SearchResult(n, "a", a, 1 << n, SetFamily.power_set(n), True, 1,
-                              meter.seconds)
-    elif n <= EXHAUSTIVE_MAX_N:
-        value, masks = _f_table(n)[a]
-        result = SearchResult(n, "a", a, value, SetFamily(n, masks), True, 1 << (1 << n),
                               meter.seconds)
     else:
         result = _bb_f(n, a, budget)

@@ -157,15 +157,12 @@ def verify_f_theorem(n: int, budget: SearchBudget = NO_BUDGET) -> VerificationRe
     182,376 nodes) and is skipped from n = 7 on; at n = 1 the frequency
     cap is 2^0 - 1 = 0 and the search degenerates to f(1,0) = 1 = |{emptyset}|.
     """
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
-    if not 1 <= n <= MAX_GROUND_SIZE:
-        raise ValueError(f"ground size must be in [1, {MAX_GROUND_SIZE}], got {n}")
+    # checks n, then raises unless 2^n - n sets, each element in 2^(n-1) - 1 of them
+    powerset_minus_singletons(n)
     target = (1 << n) - n
     cap = (1 << (n - 1)) - 1
     violations = []
     notes = []
-    powerset_minus_singletons(n)  # raises unless 2^n - n sets, each element in cap of them
     skipped = False
     if n <= 6:
         result = compute_f(n, cap, budget)
@@ -238,10 +235,11 @@ def check_fg_duality(n: int, a_max: int) -> VerificationReport:
     Both directions are definitional once minimal-member removal is
     available: a size-m subfamily of an f-witness keeps frequencies below
     a, and a g-witness of size m is itself an f candidate.  A violation
-    can only mean a solver bug, so this doubles as a cross-check of
-    independent engines: f comes from the exhaustive enumeration, g from
-    the branch-and-bound kernel (2^n - m > n) and the complement search
-    (2^n - m <= n).  Exhaustive regime only (n <= 4).
+    can only mean a solver bug, so this doubles as a cross-check of the
+    engines: f comes from the branch-and-bound kernel seeded by the
+    exhaustive enumeration's table, which at n <= 4 it cannot beat, and g
+    from the same kernel (2^n - m > n) and the complement search (2^n - m
+    <= n).  Exhaustive regime only (n <= 4).
     """
     if type(n) is not int or type(a_max) is not int:
         raise ValueError(f"n and a_max must be ints, got {n!r} and {a_max!r}")

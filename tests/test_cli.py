@@ -53,6 +53,12 @@ def test_f_budget_exit_code(capsys):
     assert "lower bound" in out
 
 
+def test_f_past_the_kernel_ceiling_is_refused(capsys):
+    code, out, err = run_cli(capsys, "f", "--n", "12", "--a", "5")
+    assert (code, out) == (1, "")
+    assert err == "frankl-lab: error: branch-and-bound search capped at n = 11, got 12\n"
+
+
 def test_g_command_json(capsys):
     code, out, _ = run_cli(capsys, "g", "--n", "4", "--m", "13", "--format", "json")
     assert code == 0
@@ -161,7 +167,7 @@ def test_lp_layer_json_is_pinned(capsys, command):
 # the same pin for the search layer: values, witnesses and node counts of
 # both engines, the n <= 4 tables behind them, and the f/g duality grid
 SEARCH_LAYER_DIGESTS = {
-    "f --n 4 --a 4 --format json --stable": "afb5039ef87729e2",
+    "f --n 4 --a 4 --format json --stable": "4820f76c4dc21da2",
     "f --n 5 --a 5 --format json --stable": "0577a3d946a68e81",
     "g --n 4 --m 13 --format json --stable": "9ded22354c17c911",
     "g --n 5 --m 28 --format json --stable": "9dd8839a2285f3a1",
@@ -198,6 +204,7 @@ def test_battery_output_is_pinned(capsys, command):
 # exit code (none of these outputs has a clock field)
 CLI_TEXT_DIGESTS = {
     "f --n 5 --a 5 --max-nodes 10": ("f5e1cb1106baa165", "e3b0c44298fc1c14", 2),
+    "f --n 4 --a 4 --max-nodes 1": ("5782bc43dbc3e6d9", "e3b0c44298fc1c14", 2),
     "g --n 7 --m 122 --max-nodes 5": ("6076df694e0e4aea", "e3b0c44298fc1c14", 2),
     "lp --n 3 --a 3": ("487180046cbe0dad", "e3b0c44298fc1c14", 0),
     "lp --n 4 --a 4 --max-nodes 3": ("8d5f2da4c8fe26dd", "e3b0c44298fc1c14", 2),

@@ -296,8 +296,12 @@ def _enumerate(n):
     (random_union_closed, (2, 1.0, "1/2"), "n and seed must be ints, got 2 and 1.0"),
     (_enumerate, (2.0,), "n must be an int, got 2.0"),
     (_enumerate, (-1,), "needs 1 <= n <= 4, got -1"),  # once "negative shift count"
+    (family_to_json, (SetFamily(2, (0,)), "bits"), "unknown form 'bits'"),
+    (family_from_json, ([0, 1],), "family JSON must be an object with an 'n' key"),
+    (family_from_json, ({"masks": [0]},), "family JSON must be an object with an 'n' key"),
+    (random_union_closed, (17, 1, "1/2"), r"ground size must be in \[1, 16\], got 17"),
 ])
 def test_family_constructors_refuse_bad_arguments(call, args, refusal):
-    # each once raised a TypeError or a ValueError from a bit shift
+    # the first four once raised a TypeError or a ValueError from a bit shift
     with pytest.raises(ValueError, match=refusal):
         call(*args)

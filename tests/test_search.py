@@ -121,6 +121,29 @@ def test_f_at_power_set_threshold():
         assert result.witness == SetFamily.power_set(n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_f_below_the_power_set_proves_its_seed(n):
+    # the kernel runs at every n; at n <= 4 its seed, the table of the
+    # exhaustive enumeration, is optimal, so the search proves it and keeps
+    # the table's lexicographically smallest witness
+    for a in range(1 << (n - 1)):
+        result = compute_f(n, a)
+        assert result.proven_optimal
+        assert (result.value, result.witness.masks) == search._f_table(n)[a]
+
+
+def test_the_kernel_is_capped_at_n11():
+    refusal = "branch-and-bound search capped at n = 11, got 12"
+    with pytest.raises(ValueError, match=refusal):
+        compute_f(12, 5)
+    with pytest.raises(ValueError, match=refusal):
+        compute_g(12, 100)
+    # the power set needs no search
+    result = compute_f(12, 2048)
+    assert (result.value, result.proven_optimal) == (4096, True)
+    assert result.witness == SetFamily.power_set(12)
+
+
 def test_f_branch_and_bound_agrees_with_exhaustive_on_lifted_instances():
     # f(5,a) must coincide with f(4,a) once the plateau has started
     assert compute_f(5, 1).value == 2
@@ -171,6 +194,8 @@ _F_WITNESS_9 = (0, 1, 2, 3, 4, 5, 6, 7, 15)
     ("g", 3, 3, None, 2, 21, True, (3, 4, 7)),
     ("g", 4, 5, None, 3, 83, True, (0, 7, 11, 12, 15)),
     ("g", 4, 11, 100, 7, 101, False, (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15)),
+    # a stop before the first include keeps the seed, at n <= 4 the table's optimum
+    ("f", 4, 4, 1, 8, 2, False, tuple(range(8))),
 ])
 def test_branch_and_bound_path_is_pinned(kind, n, k, budget, value, nodes, proven, masks):
     # value, node count and first-met witness of the search in its fixed order
@@ -501,7 +526,7 @@ def test_f_result_json_schema():
     assert blob["n"] == 2 and blob["a"] == 1 and blob["value"] == 2
     assert blob["proven_optimal"] is True
     assert blob["witness"] == {"n": 2, "masks": [0, 1]}
-    assert blob["nodes"] == 1 << 4  # one full scan of the 2^(2^2) subfamilies
+    assert blob["nodes"] == 5  # nodes searched; the seed is already optimal
     assert "seconds" in blob
     assert "m" not in blob
 

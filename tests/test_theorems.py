@@ -202,7 +202,8 @@ def test_monotonicity_out_of_budget_is_skipped():
     report = verify_monotonicity(2, 5, SearchBudget(max_nodes=10))
     assert report.status == "skipped"
     assert report.violations == []
-    assert report.scope["values"] == {1: 2, 2: 4, 3: 4, 4: 4}
+    # the budget binds at n = 3 and 4 too, where the search proves its seed
+    assert report.scope["values"] == {1: 2, 2: 4}
     assert report.notes[-1] == "budget exhausted at n = 5"
 
 
@@ -221,9 +222,13 @@ def test_monotonicity_guards():
     # once reported as compute_f's "got 1 and 2.5"
     (verify_monotonicity, (2.5, 4), "a and n_max must be ints, got 2.5 and 4"),
     (check_fg_duality, (3, 2.5), "n and a_max must be ints, got 3 and 2.5"),
+    # int arguments out of range
+    (powerset_minus_singletons, (17,), r"ground size must be in \[1, 16\], got 17"),
+    (verify_f_theorem, (0,), r"ground size must be in \[1, 16\], got 0"),
+    (check_fg_duality, (3, 0), "a_max must be >= 1"),
 ])
 def test_theorem_checks_refuse_non_int_arguments(call, args, refusal):
-    # each of these once raised a TypeError or blamed the wrong argument
+    # the non-int rows once raised a TypeError or blamed the wrong argument
     with pytest.raises(ValueError, match=refusal):
         call(*args)
 
