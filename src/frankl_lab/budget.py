@@ -51,9 +51,8 @@ class Meter:
         """Count `count` steps, or up to the first one past the budget: the
         same steps, clock readings and verdict as single ticks until one
         returns False.  True while within budget.  Once spent, it stays
-        spent, and a tick counts one step and reads no clock."""
+        spent: a tick counts nothing and reads no clock."""
         if self.exhausted:
-            self.nodes += 1
             return False
         b = self.budget
         start, last = self.nodes, self.nodes + count

@@ -22,6 +22,7 @@ which drops them so that identical invocations print byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -229,10 +230,7 @@ def _cmd_witness(args) -> Outcome:
 
 def _cmd_check(args) -> Outcome:
     results = checks_mod.run_all()
-    payload = {"results": [{
-        "criterion": r.criterion, "name": r.name, "passed": r.passed,
-        "seconds": r.seconds, "limit": r.limit, "detail": r.detail,
-    } for r in results]}
+    payload = {"results": [dataclasses.asdict(r) for r in results]}
     return Outcome(payload, [r.line for r in results],
                    EXIT_OK if all(r.passed for r in results) else EXIT_VIOLATION)
 

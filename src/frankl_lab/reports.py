@@ -1,4 +1,4 @@
-"""Verification report records shared by the checker modules.
+"""Verification report records; only `theorems` builds them.
 
 Claim identifiers are stable strings intended for CI consumption:
 "missing-subsets", "missing-covering", "thm-g", "thm-f-2n-minus-n",
@@ -9,28 +9,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-VERIFIED = "verified"
-VIOLATED = "violated"
-SKIPPED = "skipped"
-
 
 @dataclass
 class VerificationReport:
+    """A claim's verdict on a scope.  The status follows from the record:
+    "violated" if there are violations, else "skipped" if a leg was left
+    unchecked, else "verified"."""
+
     claim: str
     scope: dict
-    status: str
     violations: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    skipped: bool = False
 
-    def __post_init__(self) -> None:
-        if self.status not in (VERIFIED, VIOLATED, SKIPPED):
-            raise ValueError(f"bad status {self.status!r}")
-        if (self.status == VIOLATED) != bool(self.violations):
-            raise ValueError("status is 'violated' iff violations is nonempty")
+    @property
+    def status(self) -> str:
+        if self.violations:
+            return "violated"
+        return "skipped" if self.skipped else "verified"
 
     @property
     def verified(self) -> bool:
-        return self.status == VERIFIED
+        return self.status == "verified"
 
     def to_json(self) -> dict:
         return {
@@ -40,15 +40,3 @@ class VerificationReport:
             "violations": self.violations,
             "notes": self.notes,
         }
-
-
-def report(claim: str, scope: dict, violations: list, notes: list | None = None,
-           skipped: bool = False) -> VerificationReport:
-    """Build a report with the status derived from the violation list."""
-    if violations:
-        status = VIOLATED
-    elif skipped:
-        status = SKIPPED
-    else:
-        status = VERIFIED
-    return VerificationReport(claim, scope, status, violations, notes or [])

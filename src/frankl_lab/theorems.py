@@ -20,8 +20,8 @@ VerificationReport; none of them re-derives a proof.  The claims:
                      small to hold the plateau value at all (see
                      `verify_monotonicity`).
   fg-duality         f(n,a) >= m iff g(n,m) <= a, over the whole (a, m)
-                     grid for n <= 4: the enumeration's f against the
-                     kernel's and the complement search's g.
+                     grid for n <= 4: the kernel's f against the kernel's
+                     and the complement search's g.
 
 A violation anywhere would contradict a proved statement and therefore
 signals an implementation bug; suites treat it as build-stopping.
@@ -36,7 +36,7 @@ from .budget import NO_BUDGET, SearchBudget
 from .families import (EXHAUSTIVE_MAX_N, MAX_GROUND_SIZE, SetFamily, complement,
                        enumerate_union_closed, frequencies, is_union_closed,
                        random_union_closed)
-from .reports import VerificationReport, report
+from .reports import VerificationReport
 from .search import compute_f, compute_g
 
 
@@ -76,7 +76,7 @@ def _missing_subsets(family: SetFamily, missing: tuple[int, ...]) -> Verificatio
         if count > 1:
             violations.append({"missing_mask": s, "subsets_present": count})
     scope = {"n": family.n, "family_size": len(family)}
-    return report("missing-subsets", scope, violations)
+    return VerificationReport("missing-subsets", scope, violations)
 
 
 def _missing_covering(family: SetFamily, missing: tuple[int, ...]) -> VerificationReport:
@@ -90,7 +90,7 @@ def _missing_covering(family: SetFamily, missing: tuple[int, ...]) -> Verificati
     if k < l:
         violations.append({"missing_count": k, "covered_elements": l})
     scope = {"n": family.n, "family_size": len(family), "k": k, "l": l}
-    return report("missing-covering", scope, violations)
+    return VerificationReport("missing-covering", scope, violations)
 
 
 def verify_g_theorem(n: int, budget: SearchBudget = NO_BUDGET) -> VerificationReport:
@@ -121,7 +121,7 @@ def verify_g_theorem(n: int, budget: SearchBudget = NO_BUDGET) -> VerificationRe
             violations.append({"m": m, "value": result.value, "expected": expected})
     scope = {"n": n, "sizes": sorted(values), "values": values, "expected": expected}
     notes = [f"budget exhausted for m={m}" for m in skipped]
-    return report("thm-g", scope, violations, notes, skipped=bool(skipped))
+    return VerificationReport("thm-g", scope, violations, notes, skipped=bool(skipped))
 
 
 def powerset_minus_singletons(n: int) -> SetFamily:
@@ -176,7 +176,7 @@ def verify_f_theorem(n: int, budget: SearchBudget = NO_BUDGET) -> VerificationRe
         notes.append("upper-bound leg skipped for n >= 7 (branch and bound leaves f(7,63) "
                      "unproven after 20 s); construction leg validated")
     scope = {"n": n, "cap": cap, "target": target}
-    return report("thm-f-2n-minus-n", scope, violations, notes, skipped=skipped)
+    return VerificationReport("thm-f-2n-minus-n", scope, violations, notes, skipped=skipped)
 
 
 def verify_monotonicity(a: int, n_max: int,
@@ -226,7 +226,7 @@ def verify_monotonicity(a: int, n_max: int,
         notes.append(f"plateau value {values[plateau_start]} from n = {plateau_start}")
     notes.extend(f"budget exhausted at n = {n}" for n in skipped_ns)
     scope = {"a": a, "n_max": n_max, "values": values}
-    return report("monotonicity", scope, violations, notes, skipped=bool(skipped_ns))
+    return VerificationReport("monotonicity", scope, violations, notes, skipped=bool(skipped_ns))
 
 
 def check_fg_duality(n: int, a_max: int) -> VerificationReport:
@@ -236,15 +236,15 @@ def check_fg_duality(n: int, a_max: int) -> VerificationReport:
     available: a size-m subfamily of an f-witness keeps frequencies below
     a, and a g-witness of size m is itself an f candidate.  A violation
     can only mean a solver bug, so this doubles as a cross-check of the
-    engines: f comes from the branch-and-bound kernel seeded by the
-    exhaustive enumeration's table, which at n <= 4 it cannot beat, and g
-    from the same kernel (2^n - m > n) and the complement search (2^n - m
-    <= n).  Exhaustive regime only (n <= 4).
+    engines: f comes from the branch-and-bound kernel, and g from the
+    same kernel (2^n - m > n) and the complement search (2^n - m <= n).
+    The check takes no budget, so it runs for n <= 4 only: the full n = 6
+    grids take minutes.
     """
     if type(n) is not int or type(a_max) is not int:
         raise ValueError(f"n and a_max must be ints, got {n!r} and {a_max!r}")
-    if n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"duality check needs exhaustive tables, n <= {EXHAUSTIVE_MAX_N}")
+    if n > 4:
+        raise ValueError(f"duality check takes no budget and runs for n <= 4, got {n}")
     if a_max < 1:
         raise ValueError("a_max must be >= 1")
     full = 1 << n
@@ -255,7 +255,7 @@ def check_fg_duality(n: int, a_max: int) -> VerificationReport:
         for m in range(1, full + 1):
             if (f_vals[a] >= m) != (g_vals[m] <= a):
                 violations.append({"a": a, "m": m, "f": f_vals[a], "g": g_vals[m]})
-    return report("fg-duality", {"n": n, "a_max": a_max, "m_max": full}, violations)
+    return VerificationReport("fg-duality", {"n": n, "a_max": a_max, "m_max": full}, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +322,7 @@ def run_lemma_claim(claims: tuple[str, ...] = tuple(LEMMA_CHECKS), ns=LEMMA_RAND
     scope = {"exhaustive_n": list(exhaustive_ns), "random_ns": list(ns),
              "random_count": count, "base_seed": base_seed,
              "families_checked": families_checked}
-    return [report(claim, dict(scope), found)
+    return [VerificationReport(claim, dict(scope), found)
             for claim, found in zip(claims, violations)]
 
 
@@ -361,6 +361,6 @@ def run_claim(claim: str, **kwargs) -> VerificationReport:
 def _merge_reports(claim: str, reports: list[VerificationReport]) -> VerificationReport:
     violations = [v for r in reports for v in r.violations]
     notes = [n for r in reports for n in r.notes]
-    skipped = any(r.status == "skipped" for r in reports)
     scope = {"parts": [r.scope for r in reports]}
-    return report(claim, scope, violations, notes, skipped=skipped)
+    return VerificationReport(claim, scope, violations, notes,
+                              skipped=any(r.skipped for r in reports))

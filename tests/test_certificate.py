@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from frankl_lab import certificate
 from frankl_lab import (DualCertificate, bar_f, bar_f_diag, bound_table, make_certificate,
                         verify_certificate)
 
@@ -52,6 +53,13 @@ def test_rejects_small_n():
     for n in (2, 3, 4):
         with pytest.raises(ValueError, match="certificate needs n >= 5"):
             make_certificate(n)
+
+
+def test_multipliers_check_their_binomial_forms(monkeypatch):
+    # a binomial one too large moves the binomial forms off the polynomial ones
+    monkeypatch.setattr(certificate, "comb", lambda n, k: math.comb(n, k) + 1)
+    with pytest.raises(AssertionError, match="forms disagree"):
+        make_certificate(7)
 
 
 def _reference_checks(cert):

@@ -296,7 +296,7 @@ def test_verify_violation_exit_code(capsys, monkeypatch):
     from frankl_lab import reports
 
     def fake_run_claim(claim, **kwargs):
-        return reports.VerificationReport(claim, {}, "violated", [{"boom": 1}], [])
+        return reports.VerificationReport(claim, {}, [{"boom": 1}])
 
     monkeypatch.setattr("frankl_lab.cli.run_claim", fake_run_claim)
     code, out, _ = run_cli(capsys, "verify", "--claim", "thm-g")

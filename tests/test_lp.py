@@ -15,6 +15,7 @@ from frankl_lab import (DualInfeasibleError, LpProblem, LpSolution, SearchBudget
                         prove_diagonal_relaxation_value, solve_exact,
                         symmetric_relaxation_value, verify_dual_bound)
 from frankl_lab import lp
+from frankl_lab.budget import Meter
 from frankl_lab.lp import _assert_primal_feasible
 
 F = Fraction
@@ -251,6 +252,12 @@ def test_solve_exact_checks_the_simplex_objective_against_its_primal(monkeypatch
     monkeypatch.setattr(lp, "_simplex_max", off_by_one)
     with pytest.raises(AssertionError, match="differs from its primal"):
         solve_exact(build_relaxation(3, 2))
+
+
+def test_simplex_refuses_an_unbounded_column():
+    # -x_0 <= 1 leaves x_0 unbounded above; every caller boxes its variables
+    with pytest.raises(AssertionError, match="unbounded column"):
+        lp._simplex_max([1], {("r",): ({0: -1}, 1)}, Meter())
 
 
 def test_solution_json_uses_exact_strings():

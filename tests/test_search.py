@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -431,6 +432,13 @@ def test_a_batch_tick_reads_the_clock_where_single_ticks_do(monkeypatch, count):
                     == trace(lambda meter: _single_ticks(meter, count), budget, every))
 
 
+def test_a_spent_meter_counts_nothing():
+    meter = Meter(SearchBudget(max_nodes=3))
+    assert meter.tick(5) is False and meter.nodes == 4
+    assert meter.tick() is False and meter.tick(7) is False
+    assert meter.nodes == 4
+
+
 def test_single_ticks_read_the_clock_at_steps_one_and_every_past_it(monkeypatch):
     # steps 1, every + 1, 2 * every + 1, ...; never at the step past a node
     # budget, and never once the meter is spent
@@ -519,6 +527,19 @@ def test_f_revalidates_every_witness(monkeypatch):
     monkeypatch.setattr(SetFamily, "power_set", classmethod(lambda cls, n: cls(n, (0,))))
     with pytest.raises(AssertionError, match=r"invalid witness for f\(3,4\)"):
         compute_f(3, 4)
+
+
+def test_g_revalidates_every_witness(monkeypatch):
+    # a kernel value one above its witness's maximum frequency is caught on the way out
+    bb_g = search._bb_g
+
+    def one_higher(n, m, budget):
+        result = bb_g(n, m, budget)
+        return dataclasses.replace(result, value=result.value + 1)
+
+    monkeypatch.setattr(search, "_bb_g", one_higher)
+    with pytest.raises(AssertionError, match=r"invalid witness for g\(4,5\)"):
+        compute_g(4, 5)
 
 
 def test_f_result_json_schema():

@@ -13,7 +13,7 @@ from frankl_lab import (SetFamily, check_fg_duality, check_missing_covering,
 from frankl_lab.search import enumerate_union_closed
 from frankl_lab import theorems
 from frankl_lab.budget import SearchBudget
-from frankl_lab.reports import report
+from frankl_lab.reports import VerificationReport
 from frankl_lab.theorems import CLAIMS, LEMMA_CHECKS, random_closures, run_lemma_claim
 
 
@@ -126,6 +126,20 @@ def test_construction_postconditions_all_n(n):
     assert len(complement(fam)) == n
     if n <= 8:
         assert is_union_closed(fam)  # pairwise oracle for the fast check
+
+
+@pytest.mark.parametrize("name,perturb,message", [
+    ("SetFamily", lambda cls: lambda n, masks: cls(n, masks[1:]), "construction size is off"),
+    ("is_union_closed", lambda check: lambda family: False,
+     "construction is not union-closed"),
+    ("frequencies",
+     lambda counts: lambda family: [c + (e == 0) for e, c in enumerate(counts(family))],
+     "construction frequencies are off"),
+], ids=["drop-a-mask", "not-closed", "shift-a-count"])
+def test_construction_checks_its_postconditions(monkeypatch, name, perturb, message):
+    monkeypatch.setattr(theorems, name, perturb(getattr(theorems, name)))
+    with pytest.raises(AssertionError, match=message):
+        powerset_minus_singletons(3)
 
 
 # --- f theorem -----------------------------------------------------------------------
@@ -304,9 +318,15 @@ def test_run_lemma_claim_refuses_bad_claims_and_counts(claims, kwargs, refusal):
         run_lemma_claim(claims, ns=(), **kwargs)
 
 
+def test_report_status_follows_from_its_record():
+    assert VerificationReport("c", {}).status == "verified"
+    assert VerificationReport("c", {}, skipped=True).status == "skipped"
+    assert VerificationReport("c", {}, [{"v": 1}], skipped=True).status == "violated"
+
+
 def test_run_lemma_claim_keeps_violations_with_their_claim(monkeypatch):
     def flag_all(family, missing):
-        return report("flag", {}, [{"size": len(family)}])
+        return VerificationReport("flag", {}, [{"size": len(family)}])
 
     monkeypatch.setitem(theorems.LEMMA_CHECKS, "missing-covering", flag_all)
     ok, flagged = run_lemma_claim(ns=(), count=0)
