@@ -6,7 +6,7 @@ f(n,a) and g(n,m) (`search`), the node, pivot and wall-clock limits both
 of those and the LP solver accept (`budget`), the rational dual
 certificate and its closed-form bound (`certificate`), the exact LP
 relaxation and dual verification (`lp`), and mechanical theorem checkers
-(`theorems`).
+and their reports (`theorems`).
 """
 
 from .budget import SearchBudget
@@ -23,12 +23,11 @@ from .lp import (DualInfeasibleError, LpProblem, LpSolution, build_relaxation,
                  lift_symmetric_primal, problem_to_text,
                  prove_diagonal_relaxation_value, solve_exact,
                  symmetric_relaxation_value, verify_dual_bound)
-from .reports import VerificationReport
 from .search import SearchResult, compute_f, compute_g
-from .theorems import (CLAIMS, check_fg_duality, check_missing_covering,
-                       check_missing_subsets, powerset_minus_singletons,
-                       run_claim, verify_f_theorem, verify_g_theorem,
-                       verify_monotonicity)
+from .theorems import (CLAIMS, VerificationReport, check_fg_duality,
+                       check_missing_covering, check_missing_subsets,
+                       powerset_minus_singletons, run_claim, verify_f_theorem,
+                       verify_g_theorem, verify_monotonicity)
 
 __version__ = "0.1.0"
 

@@ -137,8 +137,8 @@ def _multipliers(n: int) -> tuple[Fraction, Fraction, Fraction]:
     """(alpha, beta, gamma) for ground size n >= 5, self-tested against
     their expanded polynomial forms."""
     if n <= 4:
-        raise ValueError(f"certificate needs n >= 5 (gamma is undefined at n <= 3, and n <= 4 "
-                         f"is solved exactly by enumeration), got {n}")
+        raise ValueError(f"certificate needs n >= 5 (gamma is undefined at n <= 3, and at "
+                         f"n <= 4 f comes exactly from the search kernel), got {n}")
     denom = 3 + 3 * comb(n - 1, 2)
     alpha = 1 - Fraction(2 * comb(n - 1, 2), denom)
     beta = Fraction(2, denom)
@@ -155,7 +155,7 @@ def make_certificate(n: int) -> DualCertificate:
     """Build the exact certificate for ground size n >= 5.
 
     n <= 4 is rejected: C(n-2,2) = 0 leaves gamma undefined at n <= 3, and
-    at n = 4, where gamma = -1/3, f is solved exactly by enumeration.  The bound
+    at n = 4, where gamma = -1/3, f comes exactly from the search kernel.  The bound
     itself is only valid for n >= 7 (gamma < 0 below that); `bar_f`
     enforces the stronger guard.
     """

@@ -94,11 +94,7 @@ class SetFamily:
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "SetFamily":
         """Normalize an arbitrary-order mask iterable; duplicates are an error."""
-        ms = sorted(masks)
-        for a, b in zip(ms, ms[1:]):
-            if a == b:
-                raise ValueError(f"duplicate mask {a}")
-        return cls(n, tuple(ms))
+        return cls(n, tuple(sorted(masks)))
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":

@@ -385,40 +385,38 @@ def _depth_first(n: int, budget: SearchBudget, visit) -> Meter:
             # the exclude-only run from node i: j stops at the first mask
             # that can be included or at the next boundary
             j = i
-            mask = order[i]
-            while not allowed >> mask & 1:
+            while not allowed >> order[j] & 1:
                 j += 1
                 if boundary[j]:
                     break
-                mask = order[j]
-            else:
-                if j > i and not meter.tick(j - i):
+            if j > i:
+                if not meter.tick(j - i):
                     return meter
-                stack.append((j + 1, top, parent, allowed, narrowed))
-                es = elems[mask]
-                for e in es:
-                    freq[e] += 1
-                    if freq[e] > top:
-                        top = freq[e]
-                    if freq[e] == cap:
-                        allowed &= clear[e]
-                included.append(mask)
-                inc_bits |= 1 << mask
-                used += len(es)
-                # keep the masks m with m | mask a member: the members that
-                # contain mask, with any part of mask removed (a shift by
-                # 2^e removes e, and every entry still holds the rest of mask)
-                table = inc_bits & supersets[mask]
-                for e in es:
-                    table |= table >> (1 << e)
-                allowed &= table
-                i = j + 1
-                if not meter.tick():
-                    return meter
-                continue
-            if not meter.tick(j - i):
+                if boundary[j]:
+                    i = j
+                    continue  # visit the boundary node j
+            mask = order[j]
+            stack.append((j + 1, top, parent, allowed, narrowed))
+            es = elems[mask]
+            for e in es:
+                freq[e] += 1
+                if freq[e] > top:
+                    top = freq[e]
+                if freq[e] == cap:
+                    allowed &= clear[e]
+            included.append(mask)
+            inc_bits |= 1 << mask
+            used += len(es)
+            # keep the masks m with m | mask a member: the members that
+            # contain mask, with any part of mask removed (a shift by
+            # 2^e removes e, and every entry still holds the rest of mask)
+            table = inc_bits & supersets[mask]
+            for e in es:
+                table |= table >> (1 << e)
+            allowed &= table
+            i = j + 1
+            if not meter.tick():
                 return meter
-            i = j
         if not stack:
             return meter
         i, top, parent, allowed, narrowed = stack.pop()

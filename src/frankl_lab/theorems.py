@@ -23,12 +23,14 @@ VerificationReport; none of them re-derives a proof.  The claims:
                      grid for n <= 4: the kernel's f against the kernel's
                      and the complement search's g.
 
-A violation anywhere would contradict a proved statement and therefore
+Claim identifiers are stable strings intended for CI consumption.  A
+violation anywhere would contradict a proved statement and therefore
 signals an implementation bug; suites treat it as build-stopping.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
@@ -36,8 +38,39 @@ from .budget import NO_BUDGET, SearchBudget
 from .families import (EXHAUSTIVE_MAX_N, MAX_GROUND_SIZE, SetFamily, complement,
                        enumerate_union_closed, frequencies, is_union_closed,
                        random_union_closed)
-from .reports import VerificationReport
 from .search import compute_f, compute_g
+
+
+@dataclass
+class VerificationReport:
+    """A claim's verdict on a scope.  The status follows from the record:
+    "violated" if there are violations, else "skipped" if a leg was left
+    unchecked, else "verified"."""
+
+    claim: str
+    scope: dict
+    violations: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
+    skipped: bool = False
+
+    @property
+    def status(self) -> str:
+        if self.violations:
+            return "violated"
+        return "skipped" if self.skipped else "verified"
+
+    @property
+    def verified(self) -> bool:
+        return self.status == "verified"
+
+    def to_json(self) -> dict:
+        return {
+            "claim": self.claim,
+            "scope": self.scope,
+            "status": self.status,
+            "violations": self.violations,
+            "notes": self.notes,
+        }
 
 
 def _require_union_closed(family: SetFamily) -> None:
@@ -221,9 +254,8 @@ def verify_monotonicity(a: int, n_max: int,
                 )
             else:
                 violations.append({"kind": "plateau", "n": n, "f_n": lo, "f_n1": hi})
-    plateau_start = max(a, 1)
-    if plateau_start in values:
-        notes.append(f"plateau value {values[plateau_start]} from n = {plateau_start}")
+    if a in values:
+        notes.append(f"plateau value {values[a]} from n = {a}")
     notes.extend(f"budget exhausted at n = {n}" for n in skipped_ns)
     scope = {"a": a, "n_max": n_max, "values": values}
     return VerificationReport("monotonicity", scope, violations, notes, skipped=bool(skipped_ns))

@@ -187,7 +187,7 @@ def test_search_layer_output_is_pinned(capsys, command):
 # the whole acceptance battery and every claim, neither under a budget:
 # the outputs a change to an engine's internals leaves byte-identical
 BATTERY_DIGESTS = {
-    "check --format json --stable": "d629d5c373314590",
+    "check --format json --stable": "27bfb01b3dc4e405",
     "verify --claim all --format json": "7d9ef80ed2dce097",
 }
 
@@ -293,10 +293,10 @@ def test_verify_all_runs_every_claim(capsys):
 
 
 def test_verify_violation_exit_code(capsys, monkeypatch):
-    from frankl_lab import reports
+    from frankl_lab import theorems
 
     def fake_run_claim(claim, **kwargs):
-        return reports.VerificationReport(claim, {}, [{"boom": 1}])
+        return theorems.VerificationReport(claim, {}, [{"boom": 1}])
 
     monkeypatch.setattr("frankl_lab.cli.run_claim", fake_run_claim)
     code, out, _ = run_cli(capsys, "verify", "--claim", "thm-g")

@@ -260,6 +260,19 @@ def test_simplex_refuses_an_unbounded_column():
         lp._simplex_max([1], {("r",): ({0: -1}, 1)}, Meter())
 
 
+def test_simplex_checks_strong_duality():
+    # rows that read each rhs one higher on lookup than on iteration: the
+    # tableau is built from the iterated rhs, b'y from the looked-up one
+    class Skewed(dict):
+        def __getitem__(self, key):
+            coeffs, rhs = super().__getitem__(key)
+            return coeffs, rhs + 1
+
+    rows = Skewed({("r", 0): ({0: 1}, 1), ("r", 1): ({1: 1}, 1)})
+    with pytest.raises(AssertionError, match="strong duality violated"):
+        lp._simplex_max([1, 1], rows, Meter())
+
+
 def test_solution_json_uses_exact_strings():
     blob = solve_exact(build_relaxation(2, 1)).to_json()
     assert blob["status"] == "optimal"

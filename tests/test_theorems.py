@@ -13,7 +13,7 @@ from frankl_lab import (SetFamily, check_fg_duality, check_missing_covering,
 from frankl_lab.search import enumerate_union_closed
 from frankl_lab import theorems
 from frankl_lab.budget import SearchBudget
-from frankl_lab.reports import VerificationReport
+from frankl_lab.theorems import VerificationReport
 from frankl_lab.theorems import CLAIMS, LEMMA_CHECKS, random_closures, run_lemma_claim
 
 
