@@ -2,9 +2,10 @@
 
 f(n,a): the largest union-closed family on [n] where every element is in
 at most a sets.  g(n,m): among union-closed families of exactly m sets,
-the smallest possible count for the most frequent element.  f on small
-lattices (n <= 4) is swept exhaustively; f at n >= 5 and g at every n
-use branch-and-bound with union-closure propagation, and g near the full
+the smallest possible count for the most frequent element.  f below the
+power set and g at every n use branch-and-bound with union-closure
+propagation; at n <= 4 an exhaustive sweep of the small lattices seeds
+f's search, which then only proves the seed optimal.  g near the full
 power set (2^n - m <= n) chooses the few missing sets instead.
 """
 

@@ -77,7 +77,7 @@ from functools import lru_cache
 from itertools import compress, repeat
 
 from .budget import NO_BUDGET, Meter, SearchBudget
-from .families import (EXHAUSTIVE_MAX_N, MAX_GROUND_SIZE, SetFamily, element_planes,
+from .families import (EXHAUSTIVE_MAX_N, MAX_GROUND_SIZE, SetFamily, complement, element_planes,
                        enumerate_union_closed, family_to_json, is_union_closed, max_frequency)
 
 
@@ -459,56 +459,70 @@ def compute_f(n: int, a: int, budget: SearchBudget = NO_BUDGET) -> SearchResult:
     a = 0 is accepted (the only admissible members are none or the empty
     set, so f(n,0) = 1); it arises from the f(n, 2^(n-1)-1) theorem at n=1.
     """
-    if type(n) is not int or type(a) is not int:
-        raise ValueError(f"n and a must be ints, got {n!r} and {a!r}")
-    if not 1 <= n <= MAX_GROUND_SIZE:
-        raise ValueError(f"ground size must be in [1, {MAX_GROUND_SIZE}], got {n}")
+    _check_arguments(n, "a", a)
     if a < 0:
         raise ValueError(f"frequency cap must be >= 0, got {a}")
     meter = Meter()
     if a >= 1 << (n - 1):
         # the full power set is feasible and no family can be larger
-        result = SearchResult(n, "a", a, 1 << n, SetFamily.power_set(n), True, 1,
-                              meter.seconds)
-    else:
-        result = _bb_f(n, a, budget)
-    _validate_f_witness(result)
+        return _revalidated(SearchResult(n, "a", a, 1 << n, SetFamily.power_set(n), True, 1,
+                                         meter.seconds))
+    return _revalidated(_bb_f(n, a, budget))
+
+
+def _check_arguments(n: int, arg_name: str, arg: int) -> None:
+    """Refuse a non-int argument, or a ground size outside [1, 16]."""
+    if type(n) is not int or type(arg) is not int:
+        raise ValueError(f"n and {arg_name} must be ints, got {n!r} and {arg!r}")
+    if not 1 <= n <= MAX_GROUND_SIZE:
+        raise ValueError(f"ground size must be in [1, {MAX_GROUND_SIZE}], got {n}")
+
+
+def _revalidated(result: SearchResult) -> SearchResult:
+    """`result`, once its witness is union-closed with `value` sets and no
+    frequency above a (f), or with m sets and maximum frequency `value` (g)."""
+    w, top, f = result.witness, max_frequency(result.witness).count, result.arg_name == "a"
+    if not (len(w) == result.value and top <= result.arg if f else
+            len(w) == result.arg and top == result.value) or not is_union_closed(w):
+        raise AssertionError(f"search produced an invalid witness for "
+                             f"{'f' if f else 'g'}({result.n},{result.arg})")
     return result
-
-
-def _validate_f_witness(result: SearchResult) -> None:
-    w = result.witness
-    if len(w) != result.value or not is_union_closed(w) or max_frequency(w).count > result.arg:
-        raise AssertionError(f"search produced an invalid witness for f({result.n},{result.arg})")
 
 
 # ---------------------------------------------------------------------------
 # g(n, m)
 
 
+def _rising_order(n: int, top: int) -> list[int]:
+    """The masks of popcount <= top by ascending popcount, then value.  The
+    power set without the first 2^n - m of them, the top slice, is closed:
+    a union of two members is one of them or of higher popcount."""
+    return sorted([x for x in range(1 << n) if x.bit_count() <= top],
+                  key=lambda x: (x.bit_count(), x))
+
+
 def _g_by_complement(n: int, m: int, budget: SearchBudget) -> SearchResult:
     """Choose the k = 2^n - m missing masks directly (k <= n).
 
-    Depth-first over the masks in ascending (popcount, value) order.  A
-    missing U with |U| >= 2 is pruned as soon as two of its
-    (|U|-1)-subsets are present, since their union is U; all of those
-    subsets come before U in the order, so the prune is exact.  Each
+    Depth-first over _rising_order(n, k + 1): a missing U with |U| >= 2 is
+    pruned as soon as two of its (|U|-1)-subsets are present, since their
+    union is U, so a chosen U needs |U| - 1 missing masks before it and
+    the first mask of popcount k + 1 ends the loop that meets it.  Each
     complete choice is a candidate, checked by _complement_closed.  The
     missing masks travel as a membership table, so the prune counts the
     missing subsets with one AND.  The incumbent starts at the top slice,
-    the first candidate met, so a budget stop before it still returns a
-    family.
+    without the first k masks of the order: the first candidate met, so a
+    budget stop before it still returns a family.
     """
-    full = 1 << n
-    k = full - m
+    k = (1 << n) - m
     half = 1 << (n - 1)
-    order = sorted(range(full), key=lambda x: (x.bit_count(), x))
+    order = _rising_order(n, k + 1)
     elems = [[e for e in range(n) if u >> e & 1] for u in order]
     # below[j]: the table of the (|U|-1)-subsets of U = order[j]
     below = [sum(1 << (u ^ (1 << e)) for e in es) for u, es in zip(order, elems)]
     meter = Meter(budget, every=4096)
-    best_missing = tuple(sorted(order[:k]))  # the top slice's missing masks
-    best_value = half - min(sum(u >> e & 1 for u in best_missing) for e in range(n))
+    best_missing = tuple(sorted(order[:k]))
+    best_value = max_frequency(complement(SetFamily(n, best_missing))).count
     missing: list[int] = []
     cover = [0] * n  # cover[e]: the missing masks that contain e
 
@@ -524,7 +538,7 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> SearchResult:
             if value < best_value or (value == best_value and key > best_missing):
                 best_value, best_missing = value, key
             return
-        for j in range(start, full - (k - len(missing)) + 1):
+        for j in range(start, len(order) - (k - len(missing)) + 1):
             size = len(elems[j])
             # keeping U's (|U|-1)-subsets to at most one present takes
             # |U| - 1 of them missing; sizes only grow from here
@@ -543,9 +557,8 @@ def _g_by_complement(n: int, m: int, budget: SearchBudget) -> SearchResult:
 
     rec(0, 0)
     del rec  # the closure refers to itself: free it and its search state now, not at a GC pass
-    witness = SetFamily(n, tuple(x for x in range(full) if x not in best_missing))
-    return SearchResult(n, "m", m, best_value, witness, not meter.exhausted, meter.nodes,
-                        meter.seconds)
+    return SearchResult(n, "m", m, best_value, complement(SetFamily(n, best_missing)),
+                        not meter.exhausted, meter.nodes, meter.seconds)
 
 
 def _complement_closed(missing: list[int], mbits: int) -> bool:
@@ -566,18 +579,11 @@ def _complement_closed(missing: list[int], mbits: int) -> bool:
     return True
 
 
-def _top_slice_family(n: int, m: int) -> tuple[int, ...]:
-    """A union-closed family of exactly m sets: drop the 2^n - m smallest
-    masks in (popcount, value) order from the power set.  Dropping always
-    removes an inclusion-minimal member, which preserves closure."""
-    drop = sorted(range(1 << n), key=lambda x: (x.bit_count(), x))[: (1 << n) - m]
-    dropped = set(drop)
-    return tuple(x for x in range(1 << n) if x not in dropped)
-
-
 def _bb_g(n: int, m: int, budget: SearchBudget) -> SearchResult:
-    best_masks = _top_slice_family(n, m)
-    best_value = max_frequency(SetFamily(n, best_masks)).count
+    """g(n,m) by the kernel, with the top slice as its first incumbent: the
+    power set without the first 2^n - m masks of _rising_order."""
+    top_slice = complement(SetFamily.from_masks(n, _rising_order(n, n)[:(1 << n) - m]))
+    best_value, best_masks = max_frequency(top_slice).count, top_slice.masks
 
     def visit(i, size, used, top, room, included):
         nonlocal best_value, best_masks
@@ -595,9 +601,8 @@ def _bb_g(n: int, m: int, budget: SearchBudget) -> SearchResult:
         return best_value - 1
 
     meter = _depth_first(n, budget, visit)
-    witness = SetFamily(n, best_masks)
-    return SearchResult(n, "m", m, best_value, witness, not meter.exhausted, meter.nodes,
-                        meter.seconds)
+    return SearchResult(n, "m", m, best_value, SetFamily(n, best_masks), not meter.exhausted,
+                        meter.nodes, meter.seconds)
 
 
 def compute_g(n: int, m: int, budget: SearchBudget = NO_BUDGET) -> SearchResult:
@@ -607,22 +612,8 @@ def compute_g(n: int, m: int, budget: SearchBudget = NO_BUDGET) -> SearchResult:
     inclusion-minimal members off the power set), so there is no
     infeasible case inside that range.
     """
-    if type(n) is not int or type(m) is not int:
-        raise ValueError(f"n and m must be ints, got {n!r} and {m!r}")
-    if not 1 <= n <= MAX_GROUND_SIZE:
-        raise ValueError(f"ground size must be in [1, {MAX_GROUND_SIZE}], got {n}")
+    _check_arguments(n, "m", m)
     if not 1 <= m <= 1 << n:
         raise ValueError(f"family size must be in [1, 2^{n}], got {m}")
-    if (1 << n) - m <= n:
-        result = _g_by_complement(n, m, budget)
-    else:
-        result = _bb_g(n, m, budget)
-    _validate_g_witness(result)
-    return result
-
-
-def _validate_g_witness(result: SearchResult) -> None:
-    w = result.witness
-    if (len(w) != result.arg or not is_union_closed(w)
-            or max_frequency(w).count != result.value):
-        raise AssertionError(f"search produced an invalid witness for g({result.n},{result.arg})")
+    engine = _g_by_complement if (1 << n) - m <= n else _bb_g
+    return _revalidated(engine(n, m, budget))

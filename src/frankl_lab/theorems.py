@@ -169,9 +169,7 @@ def powerset_minus_singletons(n: int) -> SetFamily:
         raise ValueError(f"n must be an int, got {n!r}")
     if not 1 <= n <= MAX_GROUND_SIZE:
         raise ValueError(f"ground size must be in [1, {MAX_GROUND_SIZE}], got {n}")
-    singletons = frozenset(1 << e for e in range(n))
-    masks = tuple(m for m in range(1 << n) if m not in singletons)
-    family = SetFamily(n, masks)
+    family = complement(SetFamily(n, tuple(1 << e for e in range(n))))
     if len(family) != (1 << n) - n:
         raise AssertionError("construction size is off")
     if not is_union_closed(family):

@@ -5,6 +5,7 @@ module, so the graph is checked statically with `ast`.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,15 @@ def test_only_budget_reads_the_clock(module):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert ("time" in imported) == (module == "budget")
+
+
+def test_the_package_imports_only_the_standard_library():
+    # the runtime dependencies stay empty; scipy is a test-only oracle
+    imported = set()
+    for module in MODULES:
+        for node in ast.walk(parse(module)):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported and imported <= sys.stdlib_module_names

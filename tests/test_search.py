@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, permutations
@@ -471,12 +472,12 @@ def test_f_argument_validation():
 
 def test_f_refuses_a_fractional_cap():
     # 4.5 once reached the search and surfaced as an invalid witness
-    with pytest.raises(ValueError, match="must be ints, got 5 and 4.5"):
+    with pytest.raises(ValueError, match="n and a must be ints, got 5 and 4.5"):
         compute_f(5, 4.5)
 
 
 def test_g_refuses_a_float_size():
-    with pytest.raises(ValueError, match="must be ints, got 5 and 20.0"):
+    with pytest.raises(ValueError, match="n and m must be ints, got 5 and 20.0"):
         compute_g(5, 20.0)
 
 
@@ -649,6 +650,19 @@ def test_complement_path_is_pinned(n, m, budget, value, nodes, proven, missing):
     result = compute_g(n, m, SearchBudget(max_nodes=budget))
     assert (result.value, result.nodes, result.proven_optimal) == (value, nodes, proven)
     assert complement(result.witness).masks == missing
+
+
+def test_complement_search_reads_only_the_masks_it_can_reach():
+    # one missing mask must be of popcount <= 1, so the search reads the
+    # masks of popcount <= 2, not a table of 2^16 bits for each of 2^16 masks
+    tracemalloc.start()
+    try:
+        result = compute_g(16, 2**16 - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.value, result.proven_optimal, result.nodes) == (2**15, True, 17)
+    assert peak < 16 * 2**20
 
 
 def _complement_is_closed_reference(n, missing):
