@@ -15,8 +15,9 @@ Each unordered pair appears once.
 pair outside 1 <= n <= 9, a >= 1 when it is made.  A row is named by its
 key, ("union", S, T) with S < T, ("frequency", e) or ("box", m), and
 `LpProblem.row` spells it out from that key and a; no row is stored.
-`has_row` tells a row key by its shape alone, so only the simplex and the
-text export list every key (`LpProblem.rows`).
+`LpProblem.rows` is a view of the keys made from n alone (`RowKeys`): its
+length is a closed form and `key in rows` tests the key's shape, so
+neither stores a key, and only the simplex and the text export walk them.
 
 The solver is an exact simplex on the condensed tableau (one column
 per nonbasic variable, no slack identity block) in integer-preserving
@@ -53,10 +54,10 @@ empty-set box row.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, lcm
 from operator import sub
 
@@ -65,7 +66,7 @@ from .certificate import DualCertificate, bar_f, make_certificate
 
 RowKey = tuple  # ("union", S, T) with S < T | ("frequency", e) | ("box", m)
 
-LP_MAX_N = 9  # 2^9 = 512 variables, ~1.3e5 union rows
+LP_MAX_N = 9  # 2^9 = 512 variables, 111,645 union rows
 
 
 def _check_size(n: int, a: int) -> None:
@@ -77,11 +78,47 @@ def _check_size(n: int, a: int) -> None:
         raise ValueError(f"frequency cap must be >= 1, got {a}")
 
 
+class RowKeys:
+    """The row keys of the relaxation on [n] in solver order: union by
+    (S, T), then frequency by e, then box by m.  Counted, tested and
+    walked from n alone; no key is stored."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __len__(self) -> int:
+        # unordered pairs of masks, less the 3^n - 2^n comparable ones,
+        # plus n frequency rows and 2^n box rows
+        full = 1 << self.n
+        return comb(full, 2) - (3 ** self.n - full) + self.n + full
+
+    def __iter__(self) -> Iterator[RowKey]:
+        full = 1 << self.n
+        return chain((("union", s, t) for s in range(full) for t in range(s + 1, full)
+                      if s | t != t),
+                     (("frequency", e) for e in range(1, self.n + 1)),
+                     (("box", m) for m in range(full)))
+
+    def __contains__(self, key: object) -> bool:
+        """Whether key names a row, decided by its shape."""
+        full = 1 << self.n
+        match key:
+            case ("union", int(s), int(t)):
+                return 0 <= s < t < full and s | t != t
+            case ("frequency", int(e)):
+                return 1 <= e <= self.n
+            case ("box", int(m)):
+                return 0 <= m < full
+        return False
+
+
 @dataclass(frozen=True)
 class LpProblem:
     """The relaxation at (n, a), refused unless 1 <= n <= 9 and a >= 1.
-    `rows` names the rows in solver order (union by (S, T), frequency by e,
-    box by m) and `row(key)` says what one constrains; mask m is variable m."""
+    `rows` is a view of the row keys (`RowKeys`), and `row(key)` says what
+    one constrains; mask m is variable m."""
 
     n: int
     a: int
@@ -93,28 +130,20 @@ class LpProblem:
     def variables(self) -> range:
         return range(1 << self.n)
 
-    @cached_property
-    def rows(self) -> tuple[RowKey, ...]:
-        full = 1 << self.n
-        unions = [("union", s, t) for s in range(full) for t in range(s + 1, full)
-                  if s | t not in (s, t)]
-        return (*unions, *(("frequency", e) for e in range(1, self.n + 1)),
-                *(("box", m) for m in range(full)))
-
-    def has_row(self, key: RowKey) -> bool:
-        """Whether key names a row of this problem, decided by its shape."""
-        full = 1 << self.n
-        match key:
-            case ("union", int(s), int(t)):
-                return 0 <= s < t < full and s | t != t
-            case ("frequency", int(e)):
-                return 1 <= e <= self.n
-            case ("box", int(m)):
-                return 0 <= m < full
-        return False
+    @property
+    def rows(self) -> RowKeys:
+        return RowKeys(self.n)
 
     def row(self, key: RowKey) -> tuple[dict[int, int], int]:
-        """(coefficients by mask, rhs) of the row sum_m coeffs[m] * x_m <= rhs."""
+        """(coefficients by mask, rhs) of the row sum_m coeffs[m] * x_m <= rhs;
+        ValueError for a key that names no row."""
+        if key not in self.rows:
+            raise ValueError(f"unknown row key {key!r}")
+        return self._row(key)
+
+    def _row(self, key: RowKey) -> tuple[dict[int, int], int]:
+        """`row` for a key known to name a row: one walked from `rows` or
+        already tested, as the shape test costs more than the row."""
         if key[0] == "union":
             _, s, t = key
             return {s: 1, t: 1, s | t: -1}, 1
@@ -304,7 +333,7 @@ def solve_exact(problem: LpProblem, budget: SearchBudget = NO_BUDGET) -> LpSolut
     checked on every explicit row, and its objective recomputed there.
     """
     solution = _simplex_max([1] * len(problem.variables),
-                            {key: problem.row(key) for key in problem.rows},
+                            {key: problem._row(key) for key in problem.rows},
                             Meter(budget, every=16))
     if (solution.status == "optimal"
             and _assert_primal_feasible(problem, solution.primal) != solution.objective):
@@ -368,11 +397,11 @@ def verify_dual_bound(problem: LpProblem, dual: dict[RowKey, Fraction]) -> Fract
     naming the first violated column and its exact deficit, ValueError
     for keys that name no row of this problem and for multipliers that are
     negative or neither ints nor Fractions.
-    Each key is checked by its shape (`LpProblem.has_row`), so only the
-    rows named in y are read and `problem.rows` is never built.
+    Each key is checked by its shape (`key in problem.rows`), so only the
+    rows named in y are read and no other row key is made.
     """
     for key, mult in dual.items():
-        if not problem.has_row(key):
+        if key not in problem.rows:
             raise ValueError(f"unknown row key {key!r} (problem/vector dimension mismatch)")
         if not isinstance(mult, (int, Fraction)):
             raise ValueError(f"dual multiplier for row {key!r} is neither an int nor a "
@@ -385,7 +414,7 @@ def verify_dual_bound(problem: LpProblem, dual: dict[RowKey, Fraction]) -> Fract
     for key, mult in scaled.items():
         if mult == 0:
             continue
-        coeffs, rhs = problem.row(key)
+        coeffs, rhs = problem._row(key)
         bound += mult * rhs
         for mask, coeff in coeffs.items():
             columns[mask] += mult * coeff
@@ -517,7 +546,7 @@ def problem_to_text(problem: LpProblem) -> str:
     """
     lines = [f"lp n={problem.n} a={problem.a} vars={len(problem.variables)}"]
     for key in problem.rows:
-        coeffs, rhs = problem.row(key)
+        coeffs, rhs = problem._row(key)
         parts = [key[0], str(rhs)]
         parts.extend(f"{m}:{c}" for m, c in sorted(coeffs.items()))
         lines.append(" ".join(parts))

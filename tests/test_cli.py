@@ -7,7 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from frankl_lab import CLAIMS, bar_f, family_from_json, is_union_closed, max_frequency
+from frankl_lab import (CLAIMS, bar_f, build_relaxation, family_from_json, is_union_closed,
+                        max_frequency)
 from frankl_lab.cli import main
 
 
@@ -119,6 +120,20 @@ def test_lp_command(capsys, tmp_path):
     assert blob["floor"] == 2
     text = export.read_text()
     assert text.startswith("lp n=2 a=1 vars=4")
+
+
+# first 16 hex digits of the SHA-256 of each export file: they pin every
+# row's kind, rhs and coefficients, and the order of the rows
+LP_EXPORT_DIGESTS = {(3, 2): "24dcb302f534ef74", (4, 4): "947358c1122b504f"}
+
+
+@pytest.mark.parametrize("n,a", LP_EXPORT_DIGESTS)
+def test_lp_export_text_is_pinned(capsys, tmp_path, n, a):
+    export = tmp_path / "x.lp"
+    code, _, err = run_cli(capsys, "lp", "--n", str(n), "--a", str(a), "--export", str(export))
+    assert code == 0
+    assert err == f"wrote {len(build_relaxation(n, a).rows)} rows to {export}\n"
+    assert hashlib.sha256(export.read_bytes()).hexdigest()[:16] == LP_EXPORT_DIGESTS[n, a]
 
 
 def test_lp_export_to_an_unopenable_path_is_a_usage_error(capsys, tmp_path):

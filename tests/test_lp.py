@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, count
 from types import SimpleNamespace
@@ -92,8 +93,16 @@ def test_row_keys_match_brute_force_in_order(n):
     expected = (unions + [("frequency", e) for e in range(1, n + 1)]
                 + [("box", m) for m in masks])
     p = build_relaxation(n, 2)
-    assert p.rows == tuple(expected)
+    assert tuple(p.rows) == tuple(expected)
+    assert len(p.rows) == len(expected)
     assert p.variables == range(1 << n)
+
+
+@pytest.mark.parametrize("n,total", [(1, 3), (2, 7), (3, 20), (4, 75), (5, 322), (6, 1421),
+                                     (7, 6204), (8, 26599), (9, 112166)])
+def test_row_count_is_the_number_of_keys_walked(n, total):
+    p = build_relaxation(n, n)
+    assert len(p.rows) == sum(1 for _ in p.rows) == total
 
 
 def test_rows_follow_from_their_keys_at_n3():
@@ -320,6 +329,16 @@ def test_unknown_row_key_rejected():
 
 
 @pytest.mark.parametrize("key", [
+    ("union", 3, 1),   # the pair reversed, and comparable
+    ("box", 999),      # mask outside [2]
+    ("frequency", 0),  # elements run from 1
+])
+def test_row_refuses_a_key_that_names_no_row(key):
+    with pytest.raises(ValueError, match=r"^unknown row key "):
+        build_relaxation(2, 2).row(key)
+
+
+@pytest.mark.parametrize("key", [
     ("union", 1, 3),     # comparable pair: its row is a box row
     ("union", 2, 1),     # the pair reversed
     ("box", 4),          # mask outside [2]
@@ -344,18 +363,18 @@ def test_has_row_agrees_with_the_listed_rows(n):
     keys += [("box", m) for m in range(-1, full + 1)]
     assert sum(key in listed for key in keys) == len(listed)
     for key in keys:
-        assert p.has_row(key) == (key in listed), key
+        assert (key in p.rows) == (key in listed), key
 
 
 def test_has_row_accepts_bools_and_rejects_floats():
     # bool is an int (True == 1); a float is not a mask, though 1.0 == 1
     p = build_relaxation(2, 1)
-    assert p.has_row(("box", True)) and p.has_row(("frequency", True))
-    assert not p.has_row(("union", False, 3))  # comparable: 0 | 3 == 3
-    assert p.has_row(("union", True, 2))
-    assert not p.has_row(("box", 1.0))
-    assert not p.has_row(("union", 1.0, 2))
-    assert not p.has_row("box")
+    assert ("box", True) in p.rows and ("frequency", True) in p.rows
+    assert ("union", False, 3) not in p.rows  # comparable: 0 | 3 == 3
+    assert ("union", True, 2) in p.rows
+    assert ("box", 1.0) not in p.rows
+    assert ("union", 1.0, 2) not in p.rows
+    assert "box" not in p.rows
     y = {("box", m): F(1) for m in p.variables}
     with pytest.raises(ValueError, match="unknown row key"):
         verify_dual_bound(p, {**y, ("frequency", 1.0): F(1)})
@@ -535,6 +554,29 @@ def test_diagonal_proof_never_lists_the_rows():
     assert verify_dual_bound(p, certificate_to_dual(make_certificate(9), p)) == F(1100, 29)
     _assert_primal_feasible(p, lift_symmetric_primal(p, symmetric_relaxation_value(9, 9)[1]))
     assert "rows" not in vars(p)
+
+
+def _traced_peak(thunk):
+    tracemalloc.start()
+    try:
+        value = thunk()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return value, peak
+
+
+def test_counting_the_n9_rows_stores_no_key():
+    # a tuple of the 112,166 keys takes about 12 MiB
+    count, peak = _traced_peak(lambda: len(build_relaxation(9, 9).rows))
+    assert count == 112166
+    assert peak < 2**20
+
+
+def test_the_n9_dual_check_reads_only_the_rows_it_names():
+    bound, peak = _traced_peak(lambda: certificate_dual_bound(9, 9))
+    assert bound == F(1100, 29)
+    assert peak < 2**20
 
 
 # --- certificate as dual ---------------------------------------------------------
