@@ -33,7 +33,7 @@ from .budget import SearchBudget
 from .certificate import (A9_NOTE, bar_f, bar_f_diag, bound_table, make_certificate,
                           verify_certificate)
 from .families import family_to_json
-from .lp import build_relaxation, certificate_to_dual, problem_to_text, solve_exact, verify_dual_bound
+from .lp import build_relaxation, certificate_to_dual, problem_lines, solve_exact, verify_dual_bound
 from .search import compute_f, compute_g
 from .theorems import CLAIMS, LEMMA_CHECKS, run_claim, run_lemma_claim
 
@@ -88,15 +88,21 @@ def _cmd_g(args) -> Outcome:
     return Outcome(result.to_json(), [line], EXIT_OK if result.proven_optimal else EXIT_BUDGET)
 
 
+def _export(problem, path: str) -> None:
+    """Write the text export of problem to path line by line, so that one
+    row is held at a time, and say how many rows went out on stderr."""
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(problem_lines(problem))
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+    print(f"wrote {len(problem.rows)} rows to {path}", file=sys.stderr)
+
+
 def _cmd_lp(args) -> Outcome:
     problem = build_relaxation(args.n, args.a)
     if args.export:
-        try:
-            with open(args.export, "w") as fh:
-                fh.write(problem_to_text(problem))
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.export}: {exc.strerror}") from exc
-        print(f"wrote {len(problem.rows)} rows to {args.export}", file=sys.stderr)
+        _export(problem, args.export)
     solution = solve_exact(problem, _budget_from(args))
     value, floor = solution.objective, math.floor(solution.objective)
     if solution.status == "optimal":

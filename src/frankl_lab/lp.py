@@ -23,7 +23,11 @@ The solver is an exact simplex on the condensed tableau (one column
 per nonbasic variable, no slack identity block) in integer-preserving
 form: every entry is an integer over one common denominator, and each
 pivot divides exactly by the previous pivot element (Edmonds 1967,
-Bareiss 1968), so no rational arithmetic runs inside the loop.  Every
+Bareiss 1968), so no rational arithmetic runs inside the loop.  Rows are
+updated in place.  Most pivots here meet a pivot element equal to the
+denominator; such a pivot keeps it, and the exact update
+(x * det - f * y) / det = x - f * y / det moves only the pivot row's
+nonzero columns of the rows whose entering entry f is nonzero.  Every
 right-hand side is positive, so the all-slack basis is feasible and no
 phase-1 is needed, and every variable has a box row, so no solve is
 unbounded.  Pivoting uses the largest-coefficient rule until a run of
@@ -222,6 +226,15 @@ def _simplex_max(objective: list[int],
     scales every entry alike, each sign test, minimum and ratio
     comparison below decides exactly as it would on the rational
     tableau.
+
+    A pivot on prow[enter] = piv maps each other row's entry x, over the
+    pivot row's entry y in its column and the row's entering entry f, to
+    (x * piv - f * y) // det, and its entering entry to -f; det becomes
+    piv.  The quotient is exact (Bareiss).  When piv == det it is
+    x - f * y // det, with f * y itself a multiple of det, so a row with
+    f = 0 and a column with y = 0 keep their entries: the update walks
+    the pivot row's nonzero columns once per row with f != 0.  When
+    piv != det every entry of every row is rescaled.
     """
     nv = len(objective)
     m_rows = len(rows)
@@ -288,12 +301,24 @@ def _simplex_max(objective: list[int],
             degenerate_run = 0
             bland = False
 
-        # integer-preserving pivot: every quotient below is exact
+        # integer-preserving pivot, in place: every quotient below is exact
         piv = prow[enter]
-        for i, line in enumerate(tableau):
-            if i != pivot_row:
-                tableau[i] = _pivot_line(line, prow, enter, piv, det)
-        cost = _pivot_line(cost, prow, enter, piv, det)
+        keeps_det = piv == det
+        if keeps_det:
+            # x - f * y // det: only these columns of a row with f != 0 move
+            moves = [(c, y) for c, y in enumerate(prow) if y and c != enter]
+        for line in chain(tableau, (cost,)):
+            f = line[enter]
+            if (keeps_det and not f) or line is prow:
+                continue
+            if keeps_det:
+                for c, y in moves:
+                    line[c] -= f * y // det
+            elif f:
+                line[:] = [(x * piv - f * y) // det for x, y in zip(line, prow)]
+            else:
+                line[:] = [x * piv // det for x in line]
+            line[enter] = -f
         # the pivot row keeps its entries over the new denominator piv
         prow[enter] = det
         det = piv
@@ -309,20 +334,6 @@ def _simplex_max(objective: list[int],
     dual = {key: Fraction(priced.get(key, 0), det) for key in keys}
     return LpSolution("optimal", Fraction(cost[nv], det), _primal(), dual, pivots,
                       meter.seconds)
-
-
-def _pivot_line(line: list[int], prow: list[int], enter: int,
-                piv: int, det: int) -> list[int]:
-    """One non-pivot row after pivoting on prow[enter] = piv."""
-    f = line[enter]
-    if f:
-        new = [(x * piv - f * y) // det for x, y in zip(line, prow)]
-    elif piv == det:
-        return line
-    else:
-        new = [x * piv // det for x in line]
-    new[enter] = -f
-    return new
 
 
 def solve_exact(problem: LpProblem, budget: SearchBudget = NO_BUDGET) -> LpSolution:
@@ -537,17 +548,22 @@ def prove_diagonal_relaxation_value(n: int) -> Fraction:
     return value
 
 
-def problem_to_text(problem: LpProblem) -> str:
-    """Sparse text export, one constraint per line, for external solvers.
+def problem_lines(problem: LpProblem) -> Iterator[str]:
+    """Sparse text export for external solvers, one newline-ended line at
+    a time, so a writer holds one row, not the whole export.
 
     Line 1: "lp n=<n> a=<a> vars=<count>"; the objective is implicitly
     "maximize the sum of all variables with bounds [0, 1]".  Each
     following line: "<kind> <rhs> <mask>:<coeff> ...", masks ascending.
     """
-    lines = [f"lp n={problem.n} a={problem.a} vars={len(problem.variables)}"]
+    yield f"lp n={problem.n} a={problem.a} vars={len(problem.variables)}\n"
     for key in problem.rows:
         coeffs, rhs = problem._row(key)
         parts = [key[0], str(rhs)]
         parts.extend(f"{m}:{c}" for m, c in sorted(coeffs.items()))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+        yield " ".join(parts) + "\n"
+
+
+def problem_to_text(problem: LpProblem) -> str:
+    """The whole export of `problem_lines` as one string."""
+    return "".join(problem_lines(problem))

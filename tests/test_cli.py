@@ -2,14 +2,15 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from itertools import count
 from types import SimpleNamespace
 
 import pytest
 
 from frankl_lab import (CLAIMS, bar_f, build_relaxation, family_from_json, is_union_closed,
-                        max_frequency)
-from frankl_lab.cli import main
+                        max_frequency, problem_to_text)
+from frankl_lab.cli import _export, main
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +135,31 @@ def test_lp_export_text_is_pinned(capsys, tmp_path, n, a):
     assert code == 0
     assert err == f"wrote {len(build_relaxation(n, a).rows)} rows to {export}\n"
     assert hashlib.sha256(export.read_bytes()).hexdigest()[:16] == LP_EXPORT_DIGESTS[n, a]
+
+
+def test_lp_export_is_written_one_row_at_a_time(capsys, tmp_path):
+    # the (8,8) export is 26,599 rows and 0.66 MiB of text; held whole as
+    # lines and their join it peaked at 3.4 MiB
+    problem, export = build_relaxation(8, 8), tmp_path / "x.lp"
+    tracemalloc.start()
+    try:
+        _export(problem, str(export))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert capsys.readouterr().err == f"wrote 26599 rows to {export}\n"
+    assert export.read_text() == problem_to_text(problem)
+
+
+@pytest.mark.stretch
+def test_explicit_66_solve_is_pinned(capsys):
+    # the one explicit solve in which most pivots change the common
+    # denominator (550 of 1,212)
+    code, out, _ = run_cli(capsys, "lp", "--n", "6", "--a", "6", "--format", "json", "--stable")
+    blob = json.loads(out)
+    assert (code, blob["objective"], blob["pivots"]) == (0, "499/27", 1212)
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "aef47d8fda51a6f6"
 
 
 def test_lp_export_to_an_unopenable_path_is_a_usage_error(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -194,6 +195,26 @@ def test_pivot_path_is_frozen():
         assert (sol.objective, sol.pivots) == (objective, pivots), (n, a)
 
 
+# SHA-256 over (n, a, k, status, objective, primal) of every solve stopped
+# after k pivots: each k short of the full path at n <= 4, and k = 1, 7,
+# ..., 121 at (5, 5), whose path takes both pivot updates (119 pivots keep
+# the denominator, 6 change it).  A stopped solve shows the rhs column at
+# that pivot, and the pivots after it read the columns they update.
+STOPPED_STATES_DIGEST = "7a1c6191a9ceb184d1c173615e82b3c44ebb517c3199d181c8c095540fe1d71c"
+
+
+def test_every_stopped_solve_state_is_pinned():
+    cases = [(n, a, k) for (n, a), (_, pivots) in FROZEN_PIVOT_PATH.items()
+             for k in range(1, pivots)]
+    cases += [(5, 5, k) for k in range(1, 125, 6)]
+    digest = hashlib.sha256()
+    for n, a, k in cases:
+        sol = solve_exact(build_relaxation(n, a), SearchBudget(max_nodes=k))
+        digest.update(repr((n, a, k, sol.status, str(sol.objective),
+                            [str(sol.primal[m]) for m in sorted(sol.primal)])).encode())
+    assert digest.hexdigest() == STOPPED_STATES_DIGEST
+
+
 def test_pivot_budget_of_the_full_path_still_proves_optimality():
     # optimal after exactly k pivots is optimal under max_nodes=k, not "budget"
     for (n, a), (objective, pivots) in FROZEN_PIVOT_PATH.items():
@@ -354,7 +375,7 @@ def test_row_shaped_keys_that_name_no_row_are_rejected(key):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_has_row_agrees_with_the_listed_rows(n):
+def test_row_membership_agrees_with_the_listed_rows(n):
     p = build_relaxation(n, 2)
     listed = set(p.rows)
     full = 1 << n
@@ -366,7 +387,7 @@ def test_has_row_agrees_with_the_listed_rows(n):
         assert (key in p.rows) == (key in listed), key
 
 
-def test_has_row_accepts_bools_and_rejects_floats():
+def test_row_membership_accepts_bools_and_rejects_floats():
     # bool is an int (True == 1); a float is not a mask, though 1.0 == 1
     p = build_relaxation(2, 1)
     assert ("box", True) in p.rows and ("frequency", True) in p.rows
